@@ -32,7 +32,7 @@
 //!
 //! Snapshot capture and fast-forward work unchanged in both modes: the
 //! compiled slow loop drives the same `AsmSnapshotRecorder` hooks
-//! (`due`/`capture`/`note_exec`) at the same points as the interpreter,
+//! (`due`/`capture`/`note_first`) at the same points as the interpreter,
 //! and dirty-page tracking lives inside [`Memory`], below either engine.
 //!
 //! The native x86-64 JIT ([`crate::jit`]) is the third `Executor`
@@ -1419,16 +1419,7 @@ pub(crate) fn step(
     // ---- snapshot hook: `st.dyn_insts` executed, `*ip` next --------------
     if let Some(rec) = recorder.as_deref_mut() {
         if rec.due(st.dyn_insts, st.fault_sites) {
-            rec.capture(
-                st.dyn_insts,
-                st.fault_sites,
-                st.cycles,
-                *ip,
-                st.regs,
-                st.output.len(),
-                st.profile.as_ref(),
-                &mut st.mem,
-            );
+            rec.capture(st.dyn_insts, st.fault_sites, st.snapshot(*ip), &mut st.mem);
         }
     }
 
@@ -1438,7 +1429,7 @@ pub(crate) fn step(
     let meta = prog.meta[*ip as usize];
     let is_site = meta & META_SITE != 0;
     if let Some(rec) = recorder.as_deref_mut() {
-        rec.note_exec(*ip, st.dyn_insts);
+        rec.note_first(st.dyn_insts, |first| &mut first[*ip as usize]);
     }
     st.dyn_insts += 1;
     if st.dyn_insts > config.max_dyn_insts {

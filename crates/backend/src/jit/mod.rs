@@ -114,33 +114,18 @@ pub(crate) const EXIT_DETECTED: u64 = 1;
 /// A block-entry guard tripped (armed site or budget within the block):
 /// single-step from `aux` through [`step`], then re-enter.
 pub(crate) const EXIT_STEP: u64 = 2;
-/// Trap exits are `EXIT_TRAP_BASE + TrapKind discriminant`.
+/// Trap exits are `EXIT_TRAP_BASE + TrapKind::code`.
 pub(crate) const EXIT_TRAP_BASE: u64 = 16;
 
 fn trap_kind(code: u64) -> TrapKind {
-    match code {
-        0 => TrapKind::OobLoad,
-        1 => TrapKind::OobStore,
-        2 => TrapKind::DivFault,
-        3 => TrapKind::InstLimit,
-        4 => TrapKind::CallDepth,
-        5 => TrapKind::StackOverflow,
-        6 => TrapKind::BadControl,
-        _ => TrapKind::OutputFlood,
-    }
+    u8::try_from(code)
+        .ok()
+        .and_then(TrapKind::from_code)
+        .unwrap_or(TrapKind::OutputFlood)
 }
 
 pub(crate) fn trap_code(k: TrapKind) -> u64 {
-    match k {
-        TrapKind::OobLoad => 0,
-        TrapKind::OobStore => 1,
-        TrapKind::DivFault => 2,
-        TrapKind::InstLimit => 3,
-        TrapKind::CallDepth => 4,
-        TrapKind::StackOverflow => 5,
-        TrapKind::BadControl => 6,
-        TrapKind::OutputFlood => 7,
-    }
+    k.code() as u64
 }
 
 // ---- runtime helpers called from generated code ----------------------------

@@ -10,7 +10,7 @@
 use crate::mir::{
     flags, AInst, AKind, AOp, AluOp, AsmProgram, FaultDest, MathKind, MemRef, OutKind, Reg, ShiftOp, SseOp, CC,
 };
-use crate::snapshot::{AsmScratch, AsmSnapshot, AsmSnapshotRecorder, AsmSnapshotSet};
+use crate::snapshot::{AsmScratch, AsmSnapshot, AsmSnapshotRecorder, AsmSnapshotSet, AsmState};
 use flowery_ir::inst::{BinOp, CastKind, Intrinsic};
 use flowery_ir::interp::memory::{PageMap, TrapKind};
 use flowery_ir::interp::snapshot::{AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
@@ -221,17 +221,11 @@ impl<'p> Machine<'p> {
 
     fn capture_with(&self, config: &ExecConfig, cadence: Cadence, max_snaps: Option<usize>) -> AsmSnapshotSet {
         let base = Memory::new(self.module, config.mem_size, config.stack_size);
-        let mut rec = AsmSnapshotRecorder::new(self.program.insts.len(), cadence, config.snapshot_budget, max_snaps);
+        let first_exec = vec![u64::MAX; self.program.insts.len()];
+        let mut rec = AsmSnapshotRecorder::new(first_exec, cadence, config.snapshot_budget, max_snaps);
         let (st, ip) = self.boot(base.clone(), Vec::new(), config);
         let (golden, _mem) = self.exec(config, None, st, ip, Some(&mut rec));
-        AsmSnapshotSet {
-            base,
-            golden,
-            cadence: rec.final_cadence(),
-            snaps: rec.snaps,
-            first_exec: rec.first_exec,
-            shared_snaps: 0,
-        }
+        rec.finish(base, golden)
     }
 
     /// Build this variant's snapshot set by *sharing* the golden prefix of
@@ -256,10 +250,10 @@ impl<'p> Machine<'p> {
         if config.profile {
             return None;
         }
-        if raw_set.base.size() != config.mem_size || raw_set.base.stack_limit() != config.mem_size - config.stack_size {
+        if !raw_set.matches_geometry(config.mem_size, config.stack_size) {
             return None;
         }
-        let first_exec = raw_set.first_exec.as_ref()?;
+        let first_exec = raw_set.first_entry()?;
         // The variant may *extend* the raw global list (Flowery appends its
         // expectation/guard cells); existing globals keep their addresses
         // and the appended ones are only referenced by appended code.
@@ -271,18 +265,14 @@ impl<'p> Machine<'p> {
         }
         let d = divergence_dyn(&raw_program.insts, &self.program.insts, first_exec)?;
         let shared: Vec<AsmSnapshot> = raw_set
-            .snaps
+            .snaps()
             .iter()
-            .take_while(|s| s.dyn_insts <= d && (s.ip as usize) < self.program.insts.len())
+            .take_while(|s| s.dyn_insts <= d && (s.state.ip as usize) < self.program.insts.len())
             .map(|s| AsmSnapshot {
                 dyn_insts: s.dyn_insts,
                 fault_sites: s.fault_sites,
-                cycles: s.cycles,
-                ip: s.ip,
-                regs: s.regs,
-                output_len: s.output_len,
-                profile: None,
                 pages: s.pages.clone(),
+                state: AsmState { profile: None, ..s.state },
             })
             .collect();
         if shared.is_empty() {
@@ -309,32 +299,10 @@ impl<'p> Machine<'p> {
         // The restored overlay pages must not be re-copied by the first
         // recorder sync — they are already owned by the shared snapshots.
         mem.drain_dirty_pages();
-        let mut output = Vec::new();
-        output.extend_from_slice(&raw_set.golden.output[..last.output_len]);
-        let st = State {
-            regs: last.regs,
-            mem,
-            output,
-            dyn_insts: last.dyn_insts,
-            fault_sites: last.fault_sites,
-            cycles: last.cycles,
-            injected_inst: None,
-            profile: None,
-            last_ip: 0,
-            last_mem_write: None,
-        };
-        let ip = last.ip;
-        let mut rec = AsmSnapshotRecorder::from_shared(raw_set.cadence, config.snapshot_budget, None, shared);
+        let (st, ip) = State::resume(last, mem, Vec::new(), &raw_set.golden().output, None);
+        let mut rec = AsmSnapshotRecorder::from_shared(raw_set.cadence(), config.snapshot_budget, shared, d);
         let (golden, _mem) = self.exec(config, None, st, ip, Some(&mut rec));
-        let shared_snaps = rec.snaps.iter().take_while(|s| s.dyn_insts <= d).count();
-        Some(AsmSnapshotSet {
-            base,
-            golden,
-            cadence: rec.final_cadence(),
-            snaps: rec.snaps,
-            first_exec: None,
-            shared_snaps,
-        })
+        Some(rec.finish(base, golden))
     }
 
     /// Run one faulty trial, restoring the nearest snapshot at-or-before
@@ -352,8 +320,8 @@ impl<'p> Machine<'p> {
         let mut mem = scratch
             .mem
             .take()
-            .filter(|m| m.size() == set.base.size())
-            .unwrap_or_else(|| set.base.clone());
+            .filter(|m| m.size() == set.base().size())
+            .unwrap_or_else(|| set.base().clone());
         let mut output = std::mem::take(&mut scratch.output);
         output.clear();
         // A profiled trial can only restore a snapshot that carries the
@@ -366,27 +334,15 @@ impl<'p> Machine<'p> {
             None
         };
         let (st, ip) = match snap {
-            Some(snap) if !config.profile || snap.profile.is_some() => {
-                mem.reset_to(&set.base, &snap.pages);
-                output.extend_from_slice(&set.golden.output[..snap.output_len]);
-                let st = State {
-                    regs: snap.regs,
-                    mem,
-                    output,
-                    dyn_insts: snap.dyn_insts,
-                    fault_sites: snap.fault_sites,
-                    cycles: snap.cycles,
-                    injected_inst: None,
-                    profile: if config.profile { snap.profile.clone() } else { None },
-                    last_ip: 0,
-                    last_mem_write: None,
-                };
-                (st, snap.ip)
+            Some(snap) if !config.profile || snap.state.profile.is_some() => {
+                mem.reset_to(set.base(), &snap.pages);
+                let profile = if config.profile { snap.state.profile.clone() } else { None };
+                State::resume(snap, mem, output, &set.golden().output, profile)
             }
             _ => {
                 // Site earlier than the first snapshot: run from the start,
                 // but still reuse the scratch image via a dirty-page reset.
-                mem.reset_to(&set.base, &PageMap::new());
+                mem.reset_to(set.base(), &PageMap::new());
                 self.boot(mem, output, config)
             }
         };
@@ -466,16 +422,7 @@ impl<'p> Machine<'p> {
             // ---- snapshot hook: `st.dyn_insts` executed, `ip` next -------
             if let Some(rec) = recorder.as_deref_mut() {
                 if rec.due(st.dyn_insts, st.fault_sites) {
-                    rec.capture(
-                        st.dyn_insts,
-                        st.fault_sites,
-                        st.cycles,
-                        ip,
-                        st.regs,
-                        st.output.len(),
-                        st.profile.as_ref(),
-                        &mut st.mem,
-                    );
+                    rec.capture(st.dyn_insts, st.fault_sites, st.snapshot(ip), &mut st.mem);
                 }
             }
 
@@ -483,7 +430,7 @@ impl<'p> Machine<'p> {
                 break 'exec ExecStatus::Trapped(TrapKind::BadControl);
             }
             if let Some(rec) = recorder.as_deref_mut() {
-                rec.note_exec(ip, st.dyn_insts);
+                rec.note_first(st.dyn_insts, |first| &mut first[ip as usize]);
             }
             st.dyn_insts += 1;
             if st.dyn_insts > config.max_dyn_insts {
@@ -852,6 +799,44 @@ pub(crate) struct State {
 // Manual Default-ish construction is in Machine::boot; State has extra
 // transient fields initialised there.
 impl State {
+    /// The state a trial resumes from at `snap`: its counters and
+    /// registers, `mem` already reset to its overlay, the golden output up
+    /// to it (into the recycled `output` buffer), and `profile`. Returns
+    /// the state and the `ip` to continue at.
+    pub(crate) fn resume(
+        snap: &AsmSnapshot,
+        mem: Memory,
+        mut output: Vec<u8>,
+        golden_output: &[u8],
+        profile: Option<Vec<u64>>,
+    ) -> (State, u32) {
+        output.extend_from_slice(&golden_output[..snap.state.output_len]);
+        let st = State {
+            regs: snap.state.regs,
+            mem,
+            output,
+            dyn_insts: snap.dyn_insts,
+            fault_sites: snap.fault_sites,
+            cycles: snap.state.cycles,
+            injected_inst: None,
+            profile,
+            last_ip: 0,
+            last_mem_write: None,
+        };
+        (st, snap.state.ip)
+    }
+
+    /// The machine state a snapshot taken here, with `ip` next, records.
+    pub(crate) fn snapshot(&self, ip: u32) -> AsmState {
+        AsmState {
+            cycles: self.cycles,
+            ip,
+            regs: self.regs,
+            output_len: self.output.len(),
+            profile: self.profile.clone(),
+        }
+    }
+
     /// Consume the state into a result, handing the memory image back for
     /// reuse.
     pub(crate) fn finish(self, status: ExecStatus) -> (MachResult, Memory) {
@@ -1319,7 +1304,7 @@ mod tests {
     fn overlay_bytes(set: &AsmSnapshotSet) -> u64 {
         let mut seen = std::collections::HashSet::new();
         let mut total = 0u64;
-        for s in &set.snaps {
+        for s in set.snaps() {
             for p in s.pages.values() {
                 if seen.insert(std::sync::Arc::as_ptr(p)) {
                     total += p.len() as u64;
@@ -1460,7 +1445,7 @@ mod tests {
         let set = mach.capture_snapshots(&cfg, 64);
         assert!(set.len() > 2);
         assert!(
-            set.snaps.iter().all(|s| s.profile.is_some()),
+            set.snaps().iter().all(|s| s.state.profile.is_some()),
             "profiled capture must store the accumulator"
         );
         let mut scratch = AsmScratch::new();
@@ -1513,7 +1498,7 @@ mod tests {
         assert_eq!(set.golden().output, plain.output);
         assert_eq!(set.golden().dyn_insts, plain.dyn_insts);
         let k = set.interval();
-        for w in set.snaps.windows(2) {
+        for w in set.snaps().windows(2) {
             assert!(w[1].fault_sites - w[0].fault_sites >= k, "snapshots must be at least one cadence apart");
         }
         let mut scratch = AsmScratch::new();
@@ -1546,9 +1531,9 @@ mod tests {
             .capture_snapshots_from(&cfg, (&raw_m, &raw_p), &raw_set)
             .expect("late-diverging variant must share the raw prefix");
         assert!(set.shared_snaps() >= 1, "at least one snapshot shared");
-        assert!(set.first_exec.is_none(), "derived sets cannot seed further sharing");
+        assert!(set.first_entry().is_none(), "derived sets cannot seed further sharing");
         // Shared snapshots reuse the raw set's pages by Arc identity.
-        for (s, r) in set.snaps.iter().zip(&raw_set.snaps).take(set.shared_snaps()) {
+        for (s, r) in set.snaps().iter().zip(raw_set.snaps()).take(set.shared_snaps()) {
             assert_eq!(s.dyn_insts, r.dyn_insts);
             for (k, v) in &s.pages {
                 assert!(std::sync::Arc::ptr_eq(v, &r.pages[k]), "page {k} must be shared, not copied");

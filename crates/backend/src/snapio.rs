@@ -1,398 +1,100 @@
-//! Stable binary serialization for [`AsmSnapshotSet`] — the asm twin of
-//! `flowery_ir::interp::snapio`, persisted next to a campaign checkpoint so
-//! `--resume` skips the capture runs.
-//!
-//! Format (all integers little-endian):
-//!
-//! ```text
-//!   magic "FLSNAPAS" | version u32 | content_hash u64
-//!   mem_size u64 | stack_size u64            (base image is rebuilt, not stored)
-//!   cadence tag u8 + value u64 | shared_snaps u64
-//!   golden MachResult | first_exec option | snapshot count u64
-//!   per snapshot: counters, ip, register file, optional profile, page DELTA
-//!   fnv1a-64 checksum over everything above
-//! ```
-//!
-//! Page overlays are cumulative and `Arc`-shared across snapshots, so each
-//! snapshot stores only the pages whose `Arc` differs from the predecessor's
-//! entry; the loader rebuilds each overlay as `prev.clone()` plus the delta.
-//!
-//! Loading never panics on bad input: the checksum is verified before any
-//! parsing, and every length/index is validated against the program.
+//! The assembly layer's part of the snapshot file format (see
+//! `flowery_ir::interp::codec` for the shared header, page deltas and
+//! checksum): magic `FLSNAPAS`, the golden [`MachResult`], the
+//! first-execution table, and each snapshot's cycle count, `ip`, register
+//! file, output length and optional profile — every index validated
+//! against the program.
 
 use crate::machine::MachResult;
 use crate::mir::{AsmProgram, Reg};
-use crate::snapshot::{AsmSnapshot, AsmSnapshotSet};
-use flowery_ir::interp::memory::{Memory, PageMap, TrapKind};
-use flowery_ir::interp::{Cadence, ExecStatus, GLOBAL_BASE};
+use crate::snapshot::{AsmLayer, AsmState};
+use flowery_ir::interp::codec::{put_bytes, put_opt, put_status, put_u32, put_u64, put_u64s, Cursor};
+use flowery_ir::interp::snapshot::SnapLayer;
 use flowery_ir::module::Module;
-use std::sync::Arc;
-
-const MAGIC: &[u8; 8] = b"FLSNAPAS";
-const VERSION: u32 = 1;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-// ---- writer helpers -------------------------------------------------------
-
-fn w_u32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(w: &mut Vec<u8>, v: u64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_bytes(w: &mut Vec<u8>, b: &[u8]) {
-    w_u64(w, b.len() as u64);
-    w.extend_from_slice(b);
-}
-
-fn w_u64s(w: &mut Vec<u8>, vs: &[u64]) {
-    w_u64(w, vs.len() as u64);
-    for &v in vs {
-        w_u64(w, v);
-    }
-}
-
-fn trap_code(t: TrapKind) -> u8 {
-    match t {
-        TrapKind::OobLoad => 0,
-        TrapKind::OobStore => 1,
-        TrapKind::DivFault => 2,
-        TrapKind::InstLimit => 3,
-        TrapKind::CallDepth => 4,
-        TrapKind::StackOverflow => 5,
-        TrapKind::BadControl => 6,
-        TrapKind::OutputFlood => 7,
-    }
-}
-
-fn trap_from(c: u8) -> Result<TrapKind, String> {
-    Ok(match c {
-        0 => TrapKind::OobLoad,
-        1 => TrapKind::OobStore,
-        2 => TrapKind::DivFault,
-        3 => TrapKind::InstLimit,
-        4 => TrapKind::CallDepth,
-        5 => TrapKind::StackOverflow,
-        6 => TrapKind::BadControl,
-        7 => TrapKind::OutputFlood,
-        _ => return Err(format!("snapshot file: unknown trap kind {c}")),
-    })
-}
-
-fn write_counts(w: &mut Vec<u8>, p: Option<&Vec<u64>>) {
-    match p {
-        None => w.push(0),
-        Some(v) => {
-            w.push(1);
-            w_u64s(w, v);
-        }
-    }
-}
-
-fn write_result(w: &mut Vec<u8>, r: &MachResult) {
-    match r.status {
-        ExecStatus::Completed(v) => {
-            w.push(0);
-            w_u64(w, v);
-        }
-        ExecStatus::Detected => w.push(1),
-        ExecStatus::Trapped(t) => {
-            w.push(2);
-            w.push(trap_code(t));
-        }
-    }
-    w_bytes(w, &r.output);
-    w_u64(w, r.dyn_insts);
-    w_u64(w, r.fault_sites);
-    w_u64(w, r.cycles);
-    match r.injected_inst {
-        None => w.push(0),
-        Some(i) => {
-            w.push(1);
-            w_u32(w, i);
-        }
-    }
-    write_counts(w, r.profile.as_ref());
-}
-
-// ---- reader ---------------------------------------------------------------
-
-struct Cursor<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.b.len() - self.pos < n {
-            return Err("snapshot file: truncated".into());
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A count of items that each occupy at least `elem` bytes — bounds the
-    /// allocation a corrupt length field could otherwise trigger.
-    fn count(&mut self, elem: usize) -> Result<usize, String> {
-        let n = self.u64()?;
-        let remaining = (self.b.len() - self.pos) as u64;
-        if n.saturating_mul(elem as u64) > remaining {
-            return Err("snapshot file: length field exceeds file size".into());
-        }
-        Ok(n as usize)
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, String> {
-        let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, String> {
-        let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-}
 
 fn read_counts(c: &mut Cursor, program: &AsmProgram) -> Result<Option<Vec<u64>>, String> {
-    match c.u8()? {
-        0 => Ok(None),
-        1 => {
-            let v = c.u64s()?;
-            if v.len() != program.insts.len() {
-                return Err("snapshot file: profile shape does not match program".into());
-            }
-            Ok(Some(v))
+    c.opt("profile", |c| {
+        let v = c.u64s()?;
+        if v.len() != program.insts.len() {
+            return Err("snapshot file: profile shape does not match program".into());
         }
-        t => Err(format!("snapshot file: bad profile tag {t}")),
-    }
-}
-
-fn read_result(c: &mut Cursor, program: &AsmProgram) -> Result<MachResult, String> {
-    let status = match c.u8()? {
-        0 => ExecStatus::Completed(c.u64()?),
-        1 => ExecStatus::Detected,
-        2 => ExecStatus::Trapped(trap_from(c.u8()?)?),
-        t => return Err(format!("snapshot file: bad status tag {t}")),
-    };
-    let output = c.bytes()?;
-    let dyn_insts = c.u64()?;
-    let fault_sites = c.u64()?;
-    let cycles = c.u64()?;
-    let injected_inst = match c.u8()? {
-        0 => None,
-        1 => Some(c.u32()?),
-        t => return Err(format!("snapshot file: bad injected_inst tag {t}")),
-    };
-    let profile = read_counts(c, program)?;
-    Ok(MachResult {
-        status,
-        output,
-        dyn_insts,
-        fault_sites,
-        cycles,
-        injected_inst,
-        profile,
+        Ok(v)
     })
 }
 
-impl AsmSnapshotSet {
-    /// Serialize to the stable on-disk format. `content_hash` covers the
-    /// module *and* program this set was captured from; the loader refuses
-    /// a file whose hash does not match.
-    pub fn to_bytes(&self, content_hash: u64) -> Vec<u8> {
-        let mut w = Vec::new();
-        w.extend_from_slice(MAGIC);
-        w_u32(&mut w, VERSION);
-        w_u64(&mut w, content_hash);
-        w_u64(&mut w, self.base.size());
-        w_u64(&mut w, self.base.size() - self.base.stack_limit());
-        match self.cadence {
-            Cadence::Insts(k) => {
-                w.push(0);
-                w_u64(&mut w, k);
-            }
-            Cadence::Sites(k) => {
-                w.push(1);
-                w_u64(&mut w, k);
-            }
-        }
-        w_u64(&mut w, self.shared_snaps as u64);
-        write_result(&mut w, &self.golden);
-        match &self.first_exec {
-            None => w.push(0),
-            Some(e) => {
-                w.push(1);
-                w_u64s(&mut w, e);
-            }
-        }
-        w_u64(&mut w, self.snaps.len() as u64);
-        let mut prev: Option<&PageMap> = None;
-        for s in &self.snaps {
-            w_u64(&mut w, s.dyn_insts);
-            w_u64(&mut w, s.fault_sites);
-            w_u64(&mut w, s.cycles);
-            w_u32(&mut w, s.ip);
-            for &r in &s.regs {
-                w_u64(&mut w, r);
-            }
-            w_u64(&mut w, s.output_len as u64);
-            write_counts(&mut w, s.profile.as_ref());
-            // Overlays only grow; encode the pages whose Arc is new.
-            debug_assert!(prev.is_none_or(|p| p.keys().all(|k| s.pages.contains_key(k))));
-            let mut delta: Vec<(u32, &Arc<[u8]>)> = s
-                .pages
-                .iter()
-                .filter(|(k, v)| prev.and_then(|p| p.get(k)).is_none_or(|pv| !Arc::ptr_eq(pv, v)))
-                .map(|(k, v)| (*k, v))
-                .collect();
-            delta.sort_unstable_by_key(|(k, _)| *k);
-            w_u64(&mut w, delta.len() as u64);
-            for (k, v) in delta {
-                w_u32(&mut w, k);
-                w_u32(&mut w, v.len() as u32);
-                w.extend_from_slice(v);
-            }
-            prev = Some(&s.pages);
-        }
-        let c = fnv1a(&w);
-        w_u64(&mut w, c);
-        w
+impl SnapLayer for AsmLayer {
+    const MAGIC: &'static [u8; 8] = b"FLSNAPAS";
+    type Golden = MachResult;
+    type State = AsmState;
+    /// `first_exec[ip]`.
+    type Entry = Vec<u64>;
+    /// The module (for the memory image) and the program captured from it.
+    type Ctx<'a> = (&'a Module, &'a AsmProgram);
+
+    fn module<'a>((m, _): Self::Ctx<'a>) -> &'a Module {
+        m
     }
 
-    /// Deserialize a set previously written by [`AsmSnapshotSet::to_bytes`]
-    /// for the same module+program. Rejects corrupt, truncated, version-
-    /// mismatched, or wrong-content files with a descriptive error — never
-    /// panics.
-    pub fn from_bytes(
-        bytes: &[u8],
-        module: &Module,
-        program: &AsmProgram,
-        content_hash: u64,
-    ) -> Result<AsmSnapshotSet, String> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err("snapshot file: truncated".into());
+    fn put_golden(w: &mut Vec<u8>, r: &MachResult) {
+        put_status(w, r.status);
+        put_bytes(w, &r.output);
+        put_u64(w, r.dyn_insts);
+        put_u64(w, r.fault_sites);
+        put_u64(w, r.cycles);
+        put_opt(w, r.injected_inst, put_u32);
+        put_opt(w, r.profile.as_deref(), put_u64s);
+    }
+
+    fn read_golden(c: &mut Cursor, (_, program): Self::Ctx<'_>) -> Result<MachResult, String> {
+        Ok(MachResult {
+            status: c.status()?,
+            output: c.bytes()?,
+            dyn_insts: c.u64()?,
+            fault_sites: c.u64()?,
+            cycles: c.u64()?,
+            injected_inst: c.opt("injected_inst", Cursor::u32)?,
+            profile: read_counts(c, program)?,
+        })
+    }
+
+    fn put_entry(w: &mut Vec<u8>, e: &Vec<u64>) {
+        put_u64s(w, e);
+    }
+
+    fn read_entry(c: &mut Cursor, (_, program): Self::Ctx<'_>) -> Result<Vec<u64>, String> {
+        let e = c.u64s()?;
+        if e.len() != program.insts.len() {
+            return Err("snapshot file: first-exec shape does not match program".into());
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err("snapshot file: checksum mismatch (corrupt or truncated)".into());
+        Ok(e)
+    }
+
+    fn put_state(w: &mut Vec<u8>, s: &AsmState) {
+        put_u64(w, s.cycles);
+        put_u32(w, s.ip);
+        for &r in &s.regs {
+            put_u64(w, r);
         }
-        let mut c = Cursor { b: body, pos: 0 };
-        if c.take(MAGIC.len())? != MAGIC {
-            return Err("snapshot file: bad magic (not an asm snapshot set)".into());
+        put_u64(w, s.output_len as u64);
+        put_opt(w, s.profile.as_deref(), put_u64s);
+    }
+
+    fn read_state(c: &mut Cursor, (_, program): Self::Ctx<'_>, golden: &MachResult) -> Result<AsmState, String> {
+        let cycles = c.u64()?;
+        let ip = c.u32()?;
+        if ip as usize > program.insts.len() {
+            return Err("snapshot file: snapshot ip out of range".into());
         }
-        let version = c.u32()?;
-        if version != VERSION {
-            return Err(format!("snapshot file: unsupported format version {version} (expected {VERSION})"));
+        let mut regs = [0u64; Reg::COUNT];
+        for r in regs.iter_mut() {
+            *r = c.u64()?;
         }
-        let hash = c.u64()?;
-        if hash != content_hash {
-            return Err("snapshot file: content hash mismatch".into());
+        let output_len = c.u64()? as usize;
+        if output_len > golden.output.len() {
+            return Err("snapshot file: snapshot output length exceeds golden output".into());
         }
-        let mem_size = c.u64()?;
-        let stack_size = c.u64()?;
-        if stack_size > mem_size || mem_size < GLOBAL_BASE + stack_size + 0x1000 {
-            return Err("snapshot file: implausible memory geometry".into());
-        }
-        let cadence = match c.u8()? {
-            0 => Cadence::Insts(c.u64()?),
-            1 => Cadence::Sites(c.u64()?),
-            t => return Err(format!("snapshot file: bad cadence tag {t}")),
-        };
-        if cadence.value() == 0 {
-            return Err("snapshot file: zero cadence".into());
-        }
-        let shared_snaps = c.u64()? as usize;
-        let golden = read_result(&mut c, program)?;
-        let first_exec = match c.u8()? {
-            0 => None,
-            1 => {
-                let e = c.u64s()?;
-                if e.len() != program.insts.len() {
-                    return Err("snapshot file: first-exec shape does not match program".into());
-                }
-                Some(e)
-            }
-            t => return Err(format!("snapshot file: bad first-exec tag {t}")),
-        };
-        let base = Memory::new(module, mem_size, stack_size);
-        let n_snaps = c.count(8)?;
-        let mut snaps = Vec::with_capacity(n_snaps);
-        let mut prev = PageMap::new();
-        for _ in 0..n_snaps {
-            let dyn_insts = c.u64()?;
-            let fault_sites = c.u64()?;
-            let cycles = c.u64()?;
-            let ip = c.u32()?;
-            if ip as usize > program.insts.len() {
-                return Err("snapshot file: snapshot ip out of range".into());
-            }
-            let mut regs = [0u64; Reg::COUNT];
-            for r in regs.iter_mut() {
-                *r = c.u64()?;
-            }
-            let output_len = c.u64()? as usize;
-            if output_len > golden.output.len() {
-                return Err("snapshot file: snapshot output length exceeds golden output".into());
-            }
-            let profile = read_counts(&mut c, program)?;
-            let n_delta = c.count(8)?;
-            let mut pages = prev.clone();
-            for _ in 0..n_delta {
-                let page = c.u32()?;
-                let len = c.u32()? as usize;
-                if page >= base.page_count() || len != base.page_slice(page).len() {
-                    return Err("snapshot file: bad page record".into());
-                }
-                let data: Arc<[u8]> = Arc::from(c.take(len)?);
-                pages.insert(page, data);
-            }
-            prev = pages.clone();
-            snaps.push(AsmSnapshot {
-                dyn_insts,
-                fault_sites,
-                cycles,
-                ip,
-                regs,
-                output_len,
-                profile,
-                pages,
-            });
-        }
-        if c.pos != body.len() {
-            return Err("snapshot file: trailing garbage".into());
-        }
-        if shared_snaps > snaps.len() {
-            return Err("snapshot file: shared_snaps exceeds snapshot count".into());
-        }
-        Ok(AsmSnapshotSet { base, golden, cadence, snaps, first_exec, shared_snaps })
+        let profile = read_counts(c, program)?;
+        Ok(AsmState { cycles, ip, regs, output_len, profile })
     }
 }
 
@@ -402,11 +104,14 @@ mod tests {
     use crate::isel::{compile_module, BackendConfig};
     use crate::machine::{AsmFaultSpec, Machine};
     use crate::snapshot::AsmScratch;
+    use crate::snapshot::AsmSnapshotSet;
     use flowery_ir::builder::{FuncBuilder, ModuleBuilder};
+    use flowery_ir::hash::fnv1a;
     use flowery_ir::inst::{BinOp, IPred};
     use flowery_ir::interp::ExecConfig;
     use flowery_ir::types::Type;
     use flowery_ir::value::Op;
+    use std::sync::Arc;
 
     fn loop_module() -> Module {
         let mut mb = ModuleBuilder::new("loop");
@@ -450,30 +155,30 @@ mod tests {
         let set = mach.capture_snapshots(&cfg, 32);
         assert!(set.len() > 2);
         let bytes = set.to_bytes(HASH);
-        let loaded = AsmSnapshotSet::from_bytes(&bytes, &m, &prog, HASH).unwrap();
-        assert_eq!(loaded.golden.status, set.golden.status);
-        assert_eq!(loaded.golden.output, set.golden.output);
-        assert_eq!(loaded.golden.cycles, set.golden.cycles);
-        assert_eq!(loaded.golden.profile, set.golden.profile);
-        assert_eq!(loaded.cadence, set.cadence);
-        assert_eq!(loaded.shared_snaps, set.shared_snaps);
-        assert_eq!(loaded.first_exec, set.first_exec);
-        assert_eq!(loaded.snaps.len(), set.snaps.len());
-        for (a, b) in loaded.snaps.iter().zip(&set.snaps) {
+        let loaded = AsmSnapshotSet::from_bytes(&bytes, (&m, &prog), HASH).unwrap();
+        assert_eq!(loaded.golden().status, set.golden().status);
+        assert_eq!(loaded.golden().output, set.golden().output);
+        assert_eq!(loaded.golden().cycles, set.golden().cycles);
+        assert_eq!(loaded.golden().profile, set.golden().profile);
+        assert_eq!(loaded.cadence(), set.cadence());
+        assert_eq!(loaded.shared_snaps(), set.shared_snaps());
+        assert_eq!(loaded.first_entry(), set.first_entry());
+        assert_eq!(loaded.len(), set.len());
+        for (a, b) in loaded.snaps().iter().zip(set.snaps()) {
             assert_eq!(a.dyn_insts, b.dyn_insts);
             assert_eq!(a.fault_sites, b.fault_sites);
-            assert_eq!(a.cycles, b.cycles);
-            assert_eq!(a.ip, b.ip);
-            assert_eq!(a.regs, b.regs);
-            assert_eq!(a.output_len, b.output_len);
-            assert_eq!(a.profile, b.profile);
+            assert_eq!(a.state.cycles, b.state.cycles);
+            assert_eq!(a.state.ip, b.state.ip);
+            assert_eq!(a.state.regs, b.state.regs);
+            assert_eq!(a.state.output_len, b.state.output_len);
+            assert_eq!(a.state.profile, b.state.profile);
             assert_eq!(a.pages.len(), b.pages.len());
             for (k, v) in &a.pages {
                 assert_eq!(&b.pages[k][..], &v[..], "page {k} content differs");
             }
         }
         // Arc sharing survives the round trip.
-        for (lw, ow) in loaded.snaps.windows(2).zip(set.snaps.windows(2)) {
+        for (lw, ow) in loaded.snaps().windows(2).zip(set.snaps().windows(2)) {
             for (k, ov) in &ow[0].pages {
                 if ow[1].pages.get(k).is_some_and(|ov2| Arc::ptr_eq(ov, ov2)) {
                     let (lv, lv2) = (&lw[0].pages[k], &lw[1].pages[k]);
@@ -484,7 +189,7 @@ mod tests {
         // Fast-forward from the loaded set is bit-identical at every site.
         let mut s1 = AsmScratch::new();
         let mut s2 = AsmScratch::new();
-        for site in 0..set.golden.fault_sites {
+        for site in 0..set.golden().fault_sites {
             let spec = AsmFaultSpec::single(site, 7);
             let (a, ska) = mach.run_fast_forward(&cfg, spec, &set, &mut s1);
             let (b, skb) = mach.run_fast_forward(&cfg, spec, &loaded, &mut s2);
@@ -505,21 +210,21 @@ mod tests {
         let cfg = ExecConfig { max_dyn_insts: 100_000, ..Default::default() };
         let set = mach.capture_snapshots(&cfg, 32);
         let bytes = set.to_bytes(HASH);
-        assert!(AsmSnapshotSet::from_bytes(&bytes, &m, &prog, HASH).is_ok());
+        assert!(AsmSnapshotSet::from_bytes(&bytes, (&m, &prog), HASH).is_ok());
 
         for pos in [0usize, 9, bytes.len() / 2, bytes.len() - 9] {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x40;
-            let err = AsmSnapshotSet::from_bytes(&bad, &m, &prog, HASH).unwrap_err();
+            let err = AsmSnapshotSet::from_bytes(&bad, (&m, &prog), HASH).unwrap_err();
             assert!(
                 err.contains("checksum") || err.contains("magic") || err.contains("version"),
                 "pos {pos}: {err}"
             );
         }
         for cut in (0..bytes.len()).step_by(7) {
-            assert!(AsmSnapshotSet::from_bytes(&bytes[..cut], &m, &prog, HASH).is_err(), "cut {cut}");
+            assert!(AsmSnapshotSet::from_bytes(&bytes[..cut], (&m, &prog), HASH).is_err(), "cut {cut}");
         }
-        let err = AsmSnapshotSet::from_bytes(&bytes, &m, &prog, HASH ^ 1).unwrap_err();
+        let err = AsmSnapshotSet::from_bytes(&bytes, (&m, &prog), HASH ^ 1).unwrap_err();
         assert!(err.contains("hash"), "{err}");
         // An IR-layer file is refused by magic even with a valid checksum.
         let mut wrong = bytes.clone();
@@ -527,7 +232,7 @@ mod tests {
         let l = wrong.len();
         let c = fnv1a(&wrong[..l - 8]);
         wrong[l - 8..].copy_from_slice(&c.to_le_bytes());
-        let err = AsmSnapshotSet::from_bytes(&wrong, &m, &prog, HASH).unwrap_err();
+        let err = AsmSnapshotSet::from_bytes(&wrong, (&m, &prog), HASH).unwrap_err();
         assert!(err.contains("magic"), "{err}");
     }
 }

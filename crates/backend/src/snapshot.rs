@@ -1,27 +1,25 @@
 //! Periodic machine-state snapshots for fast-forwarded injection trials.
 //!
-//! The asm-level twin of [`flowery_ir::interp::snapshot`]: during one
+//! The assembly layer of [`flowery_ir::interp::snapshot`]: during one
 //! instrumented golden run the [`Machine`](crate::machine::Machine)
 //! captures the register file, cycle/instruction counters, optionally the
 //! profile accumulator, and a cumulative dirty-page memory overlay on a
-//! [`Cadence`]. A trial restores the nearest snapshot at-or-before its
-//! injection site and executes only the suffix, bit-identical to a
-//! scratch run.
+//! [`Cadence`](flowery_ir::interp::Cadence). A trial restores the nearest
+//! snapshot at-or-before its injection site and executes only the suffix,
+//! bit-identical to a scratch run. The recorder, the set and its accessors
+//! are the shared core; this module supplies only the layer's state.
 
-use crate::machine::MachResult;
 use crate::mir::Reg;
-use flowery_ir::interp::memory::{Memory, PageMap, PageRecorder};
-use flowery_ir::interp::Cadence;
+use flowery_ir::interp::memory::Memory;
+use flowery_ir::interp::snapshot::{Snapshot, SnapshotRecorder, SnapshotSet};
 
-/// One point-in-time capture of machine state. Memory is a cumulative
-/// dirty-page overlay against the pristine post-init image; pages are
-/// `Arc`-shared across snapshots.
+/// The assembly layer (see [`AsmState`]).
 #[derive(Debug)]
-pub struct AsmSnapshot {
-    /// Dynamic instructions executed before this point (absolute).
-    pub(crate) dyn_insts: u64,
-    /// Fault sites executed before this point (absolute).
-    pub(crate) fault_sites: u64,
+pub enum AsmLayer {}
+
+/// Machine state at a snapshot.
+#[derive(Debug)]
+pub struct AsmState {
     /// Modelled cycles accumulated before this point.
     pub(crate) cycles: u64,
     /// Next instruction to execute.
@@ -34,210 +32,13 @@ pub struct AsmSnapshot {
     /// run profiled. Restoring it is what lets profiled campaigns
     /// fast-forward.
     pub(crate) profile: Option<Vec<u64>>,
-    /// Cumulative dirty-page overlay against the base image.
-    pub(crate) pages: PageMap,
 }
 
-/// All snapshots from one golden machine run. Built once per cached
-/// golden, shared read-only across worker threads.
-#[derive(Debug)]
-pub struct AsmSnapshotSet {
-    pub(crate) base: Memory,
-    pub(crate) golden: MachResult,
-    pub(crate) cadence: Cadence,
-    pub(crate) snaps: Vec<AsmSnapshot>,
-    /// `first_exec[ip]` = `dyn_insts` at the instruction's *first* execution
-    /// during the capture run (`u64::MAX` = never executed). Recorded only
-    /// by fresh captures; `None` for sets built by shared-prefix
-    /// continuation, which therefore cannot themselves seed further sharing.
-    pub(crate) first_exec: Option<Vec<u64>>,
-    /// Leading snapshots `Arc`-shared with the raw set this set was derived
-    /// from (0 for fresh captures).
-    pub(crate) shared_snaps: usize,
-}
-
-impl AsmSnapshotSet {
-    /// The fault-free result of the capture run.
-    pub fn golden(&self) -> &MachResult {
-        &self.golden
-    }
-
-    /// Snapshot cadence in dynamic instructions or fault sites.
-    pub fn cadence(&self) -> Cadence {
-        self.cadence
-    }
-
-    /// Numeric cadence spacing (see [`Cadence::value`]).
-    pub fn interval(&self) -> u64 {
-        self.cadence.value()
-    }
-
-    /// Number of captured snapshots.
-    pub fn len(&self) -> usize {
-        self.snaps.len()
-    }
-
-    /// True when no snapshot was captured (program shorter than interval).
-    pub fn is_empty(&self) -> bool {
-        self.snaps.is_empty()
-    }
-
-    /// Leading snapshots shared with the raw variant's set (see
-    /// [`crate::machine::Machine::capture_snapshots_from`]).
-    pub fn shared_snaps(&self) -> usize {
-        self.shared_snaps
-    }
-
-    /// True when the set was captured under the given memory geometry —
-    /// restoring into a differently-sized image would be unsound, so
-    /// callers holding a deserialized set must check before attaching it.
-    pub fn matches_geometry(&self, mem_size: u64, stack_size: u64) -> bool {
-        self.base.size() == mem_size && self.base.stack_limit() == mem_size - stack_size
-    }
-
-    /// The last snapshot whose fault-site counter has not yet passed
-    /// `site_index`.
-    pub(crate) fn nearest(&self, site_index: u64) -> Option<&AsmSnapshot> {
-        let i = self.snaps.partition_point(|s| s.fault_sites <= site_index);
-        i.checked_sub(1).map(|i| &self.snaps[i])
-    }
-}
-
-/// Capture-side hook threaded through the machine's golden run.
-pub(crate) struct AsmSnapshotRecorder {
-    cadence: Cadence,
-    next: u64,
-    budget: Option<u64>,
-    /// Snapshot-count cap for self-tuning captures; `None` preserves the
-    /// caller's explicit cadence exactly (only the byte budget may widen).
-    max_snaps: Option<usize>,
-    pages: PageRecorder,
-    /// First-execution `dyn_insts` per program position; `None` on
-    /// continuation captures (the shared prefix's entries are unknown).
-    pub(crate) first_exec: Option<Vec<u64>>,
-    pub(crate) snaps: Vec<AsmSnapshot>,
-}
-
-impl AsmSnapshotRecorder {
-    pub(crate) fn new(
-        program_len: usize,
-        cadence: Cadence,
-        budget: Option<u64>,
-        max_snaps: Option<usize>,
-    ) -> AsmSnapshotRecorder {
-        assert!(cadence.value() > 0, "snapshot cadence must be positive");
-        AsmSnapshotRecorder {
-            cadence,
-            next: cadence.value(),
-            budget,
-            max_snaps,
-            pages: PageRecorder::new(),
-            first_exec: Some(vec![u64::MAX; program_len]),
-            snaps: Vec::new(),
-        }
-    }
-
-    /// A recorder that continues capturing after a translated shared prefix:
-    /// `snaps` are the prefix snapshots, the cumulative overlay starts from
-    /// the last of them, and the next capture is scheduled one cadence step
-    /// past it. First executions are not recorded (the prefix's are
-    /// unknown).
-    pub(crate) fn from_shared(
-        cadence: Cadence,
-        budget: Option<u64>,
-        max_snaps: Option<usize>,
-        snaps: Vec<AsmSnapshot>,
-    ) -> AsmSnapshotRecorder {
-        assert!(cadence.value() > 0, "snapshot cadence must be positive");
-        let last = snaps.last().expect("shared prefix must be nonempty");
-        let next = match cadence {
-            Cadence::Insts(k) => last.dyn_insts + k,
-            Cadence::Sites(k) => last.fault_sites + k,
-        };
-        AsmSnapshotRecorder {
-            cadence,
-            next,
-            budget,
-            max_snaps,
-            pages: PageRecorder::from_overlay(&last.pages),
-            first_exec: None,
-            snaps,
-        }
-    }
-
-    /// Called at the top of the dispatch loop, before the next instruction.
-    pub(crate) fn due(&self, dyn_insts: u64, fault_sites: u64) -> bool {
-        match self.cadence {
-            Cadence::Insts(_) => dyn_insts >= self.next,
-            Cadence::Sites(_) => fault_sites >= self.next,
-        }
-    }
-
-    /// The cadence after any budget-driven widening.
-    pub(crate) fn final_cadence(&self) -> Cadence {
-        self.cadence
-    }
-
-    /// Record the first execution of the instruction at `ip`. `dyn_insts`
-    /// uses the snapshot-hook convention: that instruction has not yet
-    /// started.
-    #[inline]
-    pub(crate) fn note_exec(&mut self, ip: u32, dyn_insts: u64) {
-        if let Some(first) = self.first_exec.as_mut() {
-            let slot = &mut first[ip as usize];
-            if *slot == u64::MAX {
-                *slot = dyn_insts;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn capture(
-        &mut self,
-        dyn_insts: u64,
-        fault_sites: u64,
-        cycles: u64,
-        ip: u32,
-        regs: [u64; Reg::COUNT],
-        output_len: usize,
-        profile: Option<&Vec<u64>>,
-        mem: &mut Memory,
-    ) {
-        let pages = self.pages.sync(mem);
-        self.snaps.push(AsmSnapshot {
-            dyn_insts,
-            fault_sites,
-            cycles,
-            ip,
-            regs,
-            output_len,
-            profile: profile.cloned(),
-            pages,
-        });
-        while self.budget.is_some_and(|b| self.pages.live_bytes() > b) && self.snaps.len() > 1 {
-            self.widen();
-        }
-        while self.max_snaps.is_some_and(|m| self.snaps.len() > m) && self.snaps.len() > 1 {
-            self.widen();
-        }
-        self.next = match self.cadence {
-            Cadence::Insts(k) => dyn_insts + k,
-            Cadence::Sites(k) => fault_sites + k,
-        };
-    }
-
-    /// Double the cadence and keep every other snapshot, reclaiming the
-    /// page copies the dropped snapshots were the sole owners of. See the
-    /// IR twin in `flowery_ir::interp::snapshot` for the rationale.
-    fn widen(&mut self) {
-        self.cadence = self.cadence.widened();
-        let mut keep = false;
-        self.snaps.retain(|_| {
-            keep = !keep;
-            keep
-        });
-    }
-}
+pub type AsmSnapshot = Snapshot<AsmLayer>;
+/// Assembly snapshot set; its first-entry table is `first_exec[ip]`, the
+/// `dyn_insts` at each instruction's first execution.
+pub type AsmSnapshotSet = SnapshotSet<AsmLayer>;
+pub(crate) type AsmSnapshotRecorder = SnapshotRecorder<AsmLayer>;
 
 /// Per-worker reusable buffers for machine trials: the scratch memory
 /// image (reset via dirty-page reverts) and the output buffer.

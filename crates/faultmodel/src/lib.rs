@@ -398,26 +398,20 @@ fn known_model_names() -> String {
     names.join(", ")
 }
 
-/// FNV-1a over the registry's model and detector names. Two builds whose
-/// hashes differ sample or classify faults differently; the dist
-/// handshake refuses to pair them.
+/// FNV-1a over the registry's model and detector names, one per line,
+/// models and detectors separated by a `--` line. Two builds whose hashes
+/// differ sample or classify faults differently; the dist handshake
+/// refuses to pair them.
 pub fn registry_hash() -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let eat = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h = (*h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut text = String::new();
     for m in REGISTERED_MODELS {
-        eat(&mut h, m.to_string().as_bytes());
-        eat(&mut h, b"\n");
+        text.push_str(&format!("{m}\n"));
     }
-    eat(&mut h, b"--\n");
+    text.push_str("--\n");
     for d in REGISTERED_DETECTORS {
-        eat(&mut h, d.to_string().as_bytes());
-        eat(&mut h, b"\n");
+        text.push_str(&format!("{d}\n"));
     }
-    h
+    flowery_ir::hash::fnv1a(text.as_bytes())
 }
 
 #[cfg(test)]

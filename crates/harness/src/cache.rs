@@ -20,28 +20,20 @@
 //! Since the capture run doubles as the golden run (its result seeds the
 //! golden maps), enabling snapshots never adds an execution.
 
+use crate::plan::Layer;
 use crate::snapstore::SnapshotStore;
 use flowery_analysis::statline::{analyze_bits, BitTable};
 use flowery_backend::{print_program, AsmProgram, AsmSnapshotSet, MachResult, Machine};
+use flowery_ir::hash::fnv1a;
 use flowery_ir::interp::{ExecConfig, ExecResult, Interpreter, IrSnapshotSet, Profile};
 use flowery_ir::printer::print_module;
 use flowery_ir::Module;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// FNV-1a over the canonical textual form — stable across runs and
-/// platforms, which keeps checkpoint logs portable.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Content hash of a module (its printed IR).
+/// Content hash of a module: FNV-1a over its printed IR — stable across
+/// runs and platforms, which keeps checkpoint logs portable.
 pub fn module_hash(m: &Module) -> u64 {
     fnv1a(print_module(m).as_bytes())
 }
@@ -69,21 +61,40 @@ pub struct CacheStats {
     pub snap_shared: u64,
 }
 
+/// One map of a [`GoldenCache`]: a per-key single-flight memo. The first
+/// lookup of a key installs an empty cell and computes its value with the
+/// map lock released; concurrent lookups of the same key find the cell and
+/// block on it, so every key is computed exactly once.
+type Memo<V> = Mutex<HashMap<u64, Arc<OnceLock<V>>>>;
+
+/// Install `value` for `key` unless the key is already present or being
+/// computed (in which case the memo's own value wins). Never blocks on an
+/// in-flight computation, so seeding one map from inside another map's
+/// computation cannot deadlock.
+fn seed<V>(memo: &Memo<V>, key: u64, value: impl FnOnce() -> V) {
+    memo.lock()
+        .unwrap()
+        .entry(key)
+        .or_insert_with(|| Arc::new(OnceLock::from(value())));
+}
+
 /// Thread-safe golden-run / snapshot-set cache with provenance accounting.
+/// Every lookup is single-flight per content hash, so the counters do not
+/// depend on how many threads race for the same unit.
 #[derive(Default)]
 pub struct GoldenCache {
-    ir: Mutex<HashMap<u64, Arc<ExecResult>>>,
-    asm: Mutex<HashMap<u64, Arc<MachResult>>>,
-    ir_snaps: Mutex<HashMap<u64, Arc<IrSnapshotSet>>>,
-    asm_snaps: Mutex<HashMap<u64, Arc<AsmSnapshotSet>>>,
+    ir: Memo<Arc<ExecResult>>,
+    asm: Memo<Arc<MachResult>>,
+    ir_snaps: Memo<Arc<IrSnapshotSet>>,
+    asm_snaps: Memo<Arc<AsmSnapshotSet>>,
     /// Per-instruction execution profiles from a profiled golden run —
     /// the dynamic fault-site masses of the region model.
-    ir_profiles: Mutex<HashMap<u64, Arc<Profile>>>,
-    asm_profiles: Mutex<HashMap<u64, Arc<Vec<u64>>>>,
+    ir_profiles: Memo<Arc<Profile>>,
+    asm_profiles: Memo<Arc<Vec<u64>>>,
     /// Static bit-verdict tables (the prune oracle's proof side).
-    bit_tables: Mutex<HashMap<u64, Arc<BitTable>>>,
+    bit_tables: Memo<Arc<BitTable>>,
     /// Golden dynamic-site → static-instruction traces (its lookup side).
-    site_maps: Mutex<HashMap<u64, Arc<Vec<u32>>>>,
+    site_maps: Memo<Arc<Vec<u32>>>,
     /// Persistent home for snapshot sets, when the campaign has one.
     store: Option<SnapshotStore>,
     hits: AtomicU64,
@@ -105,49 +116,49 @@ impl GoldenCache {
         GoldenCache { store: Some(store), ..GoldenCache::default() }
     }
 
+    /// `memo[key]`, computed by `compute` on the first lookup only. The
+    /// first lookup counts as a miss, every later one (including those
+    /// that wait for the first to finish) as a hit.
+    fn lookup<V: Clone>(&self, memo: &Memo<V>, key: u64, compute: impl FnOnce() -> V) -> V {
+        let cell = {
+            let mut map = memo.lock().unwrap();
+            let counter = if map.contains_key(&key) { &self.hits } else { &self.misses };
+            counter.fetch_add(1, Ordering::Relaxed);
+            map.entry(key).or_default().clone()
+        };
+        cell.get_or_init(compute).clone()
+    }
+
     /// Golden run of `m` at the IR layer, computed at most once per
     /// distinct program content.
     pub fn ir_golden(&self, m: &Module, exec: &ExecConfig) -> Arc<ExecResult> {
         let key = module_hash(m);
-        if let Some(g) = self.ir.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return g.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // A persisted snapshot set carries the golden result, so a pure
-        // checkpoint replay (`--resume` of a finished run) serves even
-        // its merge-time golden lookups without executing anything.
-        if let Some(set) = self.store.as_ref().and_then(|st| st.load_ir(m, key)) {
-            if set.matches_geometry(exec.mem_size, exec.stack_size) {
-                self.snap_loads.fetch_add(1, Ordering::Relaxed);
-                self.insert_ir_set(key, set, false);
-                return self.ir.lock().unwrap().get(&key).unwrap().clone();
+        self.lookup(&self.ir, key, || {
+            // A persisted snapshot set carries the golden result, so a pure
+            // checkpoint replay (`--resume` of a finished run) serves even
+            // its merge-time golden lookups without executing anything.
+            if let Some(set) = self.load_ir_set(m, key, exec) {
+                let golden = Arc::new(set.golden().clone());
+                seed(&self.ir_snaps, key, || Arc::new(set));
+                return golden;
             }
-        }
-        // Run outside the lock: golden executions are the expensive part.
-        let g = Arc::new(Interpreter::new(m).run(exec, None));
-        self.goldens_run.fetch_add(1, Ordering::Relaxed);
-        self.ir.lock().unwrap().entry(key).or_insert(g).clone()
+            self.goldens_run.fetch_add(1, Ordering::Relaxed);
+            Arc::new(Interpreter::new(m).run(exec, None))
+        })
     }
 
     /// Golden run of `p` at the assembly layer.
     pub fn asm_golden(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<MachResult> {
         let key = program_hash(p);
-        if let Some(g) = self.asm.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return g.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(set) = self.store.as_ref().and_then(|st| st.load_asm(m, p, key)) {
-            if set.matches_geometry(exec.mem_size, exec.stack_size) {
-                self.snap_loads.fetch_add(1, Ordering::Relaxed);
-                self.insert_asm_set(key, set, false);
-                return self.asm.lock().unwrap().get(&key).unwrap().clone();
+        self.lookup(&self.asm, key, || {
+            if let Some(set) = self.load_asm_set(m, p, key, exec) {
+                let golden = Arc::new(set.golden().clone());
+                seed(&self.asm_snaps, key, || Arc::new(set));
+                return golden;
             }
-        }
-        let g = Arc::new(Machine::new(m, p).run(exec, None));
-        self.goldens_run.fetch_add(1, Ordering::Relaxed);
-        self.asm.lock().unwrap().entry(key).or_insert(g).clone()
+            self.goldens_run.fetch_add(1, Ordering::Relaxed);
+            Arc::new(Machine::new(m, p).run(exec, None))
+        })
     }
 
     /// Per-instruction execution profile of `m`'s golden run, computed at
@@ -155,31 +166,21 @@ impl GoldenCache {
     /// execution (the plain golden run skips the counters); region site
     /// masses derive from it.
     pub fn ir_profile(&self, m: &Module, exec: &ExecConfig) -> Arc<Profile> {
-        let key = module_hash(m);
-        if let Some(p) = self.ir_profiles.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return p.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let r = Interpreter::new(m).profile_run(exec);
-        self.goldens_run.fetch_add(1, Ordering::Relaxed);
-        let p = Arc::new(r.profile.expect("profiled run records a profile"));
-        self.ir_profiles.lock().unwrap().entry(key).or_insert(p).clone()
+        self.lookup(&self.ir_profiles, module_hash(m), || {
+            self.goldens_run.fetch_add(1, Ordering::Relaxed);
+            let r = Interpreter::new(m).profile_run(exec);
+            Arc::new(r.profile.expect("profiled run records a profile"))
+        })
     }
 
     /// Assembly twin of [`GoldenCache::ir_profile`]: per-program-index
     /// execution counts of `p`'s golden run.
     pub fn asm_profile(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<Vec<u64>> {
-        let key = program_hash(p);
-        if let Some(pr) = self.asm_profiles.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return pr.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let r = Machine::new(m, p).profile_run(exec);
-        self.goldens_run.fetch_add(1, Ordering::Relaxed);
-        let pr = Arc::new(r.profile.expect("profiled run records a profile"));
-        self.asm_profiles.lock().unwrap().entry(key).or_insert(pr).clone()
+        self.lookup(&self.asm_profiles, program_hash(p), || {
+            self.goldens_run.fetch_add(1, Ordering::Relaxed);
+            let r = Machine::new(m, p).profile_run(exec);
+            Arc::new(r.profile.expect("profiled run records a profile"))
+        })
     }
 
     /// Upper bound on prunable dynamic sites per program: past this many,
@@ -190,14 +191,7 @@ impl GoldenCache {
     /// Static bit-verdict table for `p`, computed at most once per
     /// distinct program content. Pure static analysis — no execution.
     pub fn asm_bits(&self, m: &Module, p: &AsmProgram) -> Arc<BitTable> {
-        let key = program_hash(p);
-        if let Some(t) = self.bit_tables.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return t.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let t = Arc::new(analyze_bits(m, p));
-        self.bit_tables.lock().unwrap().entry(key).or_insert(t).clone()
+        self.lookup(&self.bit_tables, program_hash(p), || Arc::new(analyze_bits(m, p)))
     }
 
     /// Golden site trace of `p`: static instruction index of each dynamic
@@ -205,15 +199,10 @@ impl GoldenCache {
     /// [`GoldenCache::SITE_TRACE_CAP`] entries. A fault-free replay (not a
     /// golden run — it records site indices, nothing else).
     pub fn asm_site_map(&self, m: &Module, p: &AsmProgram, exec: &ExecConfig) -> Arc<Vec<u32>> {
-        let key = program_hash(p);
-        if let Some(s) = self.site_maps.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return s.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let s = Arc::new(Machine::new(m, p).site_trace(exec, Self::SITE_TRACE_CAP));
-        self.goldens_run.fetch_add(1, Ordering::Relaxed);
-        self.site_maps.lock().unwrap().entry(key).or_insert(s).clone()
+        self.lookup(&self.site_maps, program_hash(p), || {
+            self.goldens_run.fetch_add(1, Ordering::Relaxed);
+            Arc::new(Machine::new(m, p).site_trace(exec, Self::SITE_TRACE_CAP))
+        })
     }
 
     /// Snapshot set for fast-forwarded IR trials over `m` (no raw twin).
@@ -228,47 +217,30 @@ impl GoldenCache {
     /// [`GoldenCache::ir_golden`] calls for the same content are free.
     pub fn ir_snapshots_for(&self, m: &Module, raw: Option<&Module>, exec: &ExecConfig) -> Arc<IrSnapshotSet> {
         let key = module_hash(m);
-        if let Some(s) = self.ir_snaps.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return s.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(set) = self.store.as_ref().and_then(|st| st.load_ir(m, key)) {
-            if set.matches_geometry(exec.mem_size, exec.stack_size) {
-                self.snap_loads.fetch_add(1, Ordering::Relaxed);
-                return self.insert_ir_set(key, set, false);
-            }
-        }
-        let shared = raw.and_then(|raw_m| {
-            let raw_key = module_hash(raw_m);
-            if raw_key == key {
-                return None;
-            }
-            let raw_set = self.ir_snapshots_for(raw_m, None, exec);
-            Interpreter::new(m).capture_snapshots_from(exec, raw_m, &raw_set)
-        });
-        if shared.is_some() {
-            self.snap_shared.fetch_add(1, Ordering::Relaxed);
-        }
-        let set = shared.unwrap_or_else(|| Interpreter::new(m).capture_snapshots_auto(exec));
-        self.snap_captures.fetch_add(1, Ordering::Relaxed);
-        self.insert_ir_set(key, set, true)
-    }
-
-    fn insert_ir_set(&self, key: u64, set: IrSnapshotSet, save: bool) -> Arc<IrSnapshotSet> {
-        // The capture (or the loaded file) carries the golden result: seed
-        // the golden map so no plain golden execution ever repeats it.
-        self.ir
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::new(set.golden().clone()));
-        if save {
-            if let Some(st) = &self.store {
-                st.save_ir(&set, key);
-            }
-        }
-        self.ir_snaps.lock().unwrap().entry(key).or_insert(Arc::new(set)).clone()
+        self.lookup(&self.ir_snaps, key, || {
+            let set = self.load_ir_set(m, key, exec).unwrap_or_else(|| {
+                let shared = raw.and_then(|raw_m| {
+                    if module_hash(raw_m) == key {
+                        return None;
+                    }
+                    let raw_set = self.ir_snapshots_for(raw_m, None, exec);
+                    Interpreter::new(m).capture_snapshots_from(exec, raw_m, &raw_set)
+                });
+                if shared.is_some() {
+                    self.snap_shared.fetch_add(1, Ordering::Relaxed);
+                }
+                self.snap_captures.fetch_add(1, Ordering::Relaxed);
+                let set = shared.unwrap_or_else(|| Interpreter::new(m).capture_snapshots_auto(exec));
+                if let Some(st) = &self.store {
+                    st.save_ir(&set, key);
+                }
+                set
+            });
+            // The capture (or the loaded file) carries the golden result:
+            // seed the golden map so no plain golden execution repeats it.
+            seed(&self.ir, key, || Arc::new(set.golden().clone()));
+            Arc::new(set)
+        })
     }
 
     /// Snapshot set for fast-forwarded assembly trials over `p` (no raw
@@ -286,45 +258,68 @@ impl GoldenCache {
         exec: &ExecConfig,
     ) -> Arc<AsmSnapshotSet> {
         let key = program_hash(p);
-        if let Some(s) = self.asm_snaps.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return s.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(set) = self.store.as_ref().and_then(|st| st.load_asm(m, p, key)) {
-            if set.matches_geometry(exec.mem_size, exec.stack_size) {
-                self.snap_loads.fetch_add(1, Ordering::Relaxed);
-                return self.insert_asm_set(key, set, false);
-            }
-        }
-        let shared = raw.and_then(|(raw_m, raw_p)| {
-            let raw_key = program_hash(raw_p);
-            if raw_key == key {
-                return None;
-            }
-            let raw_set = self.asm_snapshots_for(raw_m, raw_p, None, exec);
-            Machine::new(m, p).capture_snapshots_from(exec, (raw_m, raw_p), &raw_set)
-        });
-        if shared.is_some() {
-            self.snap_shared.fetch_add(1, Ordering::Relaxed);
-        }
-        let set = shared.unwrap_or_else(|| Machine::new(m, p).capture_snapshots_auto(exec));
-        self.snap_captures.fetch_add(1, Ordering::Relaxed);
-        self.insert_asm_set(key, set, true)
+        self.lookup(&self.asm_snaps, key, || {
+            let set = self.load_asm_set(m, p, key, exec).unwrap_or_else(|| {
+                let shared = raw.and_then(|(raw_m, raw_p)| {
+                    if program_hash(raw_p) == key {
+                        return None;
+                    }
+                    let raw_set = self.asm_snapshots_for(raw_m, raw_p, None, exec);
+                    Machine::new(m, p).capture_snapshots_from(exec, (raw_m, raw_p), &raw_set)
+                });
+                if shared.is_some() {
+                    self.snap_shared.fetch_add(1, Ordering::Relaxed);
+                }
+                self.snap_captures.fetch_add(1, Ordering::Relaxed);
+                let set = shared.unwrap_or_else(|| Machine::new(m, p).capture_snapshots_auto(exec));
+                if let Some(st) = &self.store {
+                    st.save_asm(&set, key);
+                }
+                set
+            });
+            seed(&self.asm, key, || Arc::new(set.golden().clone()));
+            Arc::new(set)
+        })
     }
 
-    fn insert_asm_set(&self, key: u64, set: AsmSnapshotSet, save: bool) -> Arc<AsmSnapshotSet> {
-        self.asm
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::new(set.golden().clone()));
-        if save {
-            if let Some(st) = &self.store {
-                st.save_asm(&set, key);
+    /// The persisted IR set for `key`, if the store holds one that loads
+    /// and matches `exec`'s memory geometry.
+    fn load_ir_set(&self, m: &Module, key: u64, exec: &ExecConfig) -> Option<IrSnapshotSet> {
+        let set = self.store.as_ref()?.load_ir(m, key)?;
+        set.matches_geometry(exec.mem_size, exec.stack_size).then(|| {
+            self.snap_loads.fetch_add(1, Ordering::Relaxed);
+            set
+        })
+    }
+
+    /// Assembly twin of [`GoldenCache::load_ir_set`].
+    fn load_asm_set(&self, m: &Module, p: &AsmProgram, key: u64, exec: &ExecConfig) -> Option<AsmSnapshotSet> {
+        let set = self.store.as_ref()?.load_asm(m, p, key)?;
+        set.matches_geometry(exec.mem_size, exec.stack_size).then(|| {
+            self.snap_loads.fetch_add(1, Ordering::Relaxed);
+            set
+        })
+    }
+
+    /// True when some thread is still computing a value this cache holds
+    /// for content `key` at `layer` (a golden, profile, snapshot set, bit
+    /// table or site map): a lookup of it now would block until that
+    /// computation finishes. Lets the engine's workers take other work
+    /// instead of waiting.
+    pub(crate) fn computing(&self, layer: Layer, key: u64) -> bool {
+        fn pending<V>(memo: &Memo<V>, key: u64) -> bool {
+            memo.lock().unwrap().get(&key).is_some_and(|cell| cell.get().is_none())
+        }
+        match layer {
+            Layer::Ir => pending(&self.ir, key) || pending(&self.ir_snaps, key) || pending(&self.ir_profiles, key),
+            Layer::Asm => {
+                pending(&self.asm, key)
+                    || pending(&self.asm_snaps, key)
+                    || pending(&self.asm_profiles, key)
+                    || pending(&self.bit_tables, key)
+                    || pending(&self.site_maps, key)
             }
         }
-        self.asm_snaps.lock().unwrap().entry(key).or_insert(Arc::new(set)).clone()
     }
 
     pub fn hits(&self) -> u64 {
@@ -386,6 +381,32 @@ mod tests {
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.stats().goldens_run, 2);
         assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn in_flight_computations_are_visible_without_blocking() {
+        let m = module(LOOP_SRC);
+        let key = module_hash(&m);
+        let cache = GoldenCache::new();
+        let exec = ExecConfig::default();
+        assert!(!cache.computing(Layer::Ir, key));
+        let (started, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                cache.lookup(&cache.ir, key, || {
+                    started.wait();
+                    release.wait();
+                    Arc::new(Interpreter::new(&m).run(&exec, None))
+                })
+            });
+            started.wait();
+            assert!(cache.computing(Layer::Ir, key), "another thread holds the golden open");
+            assert!(!cache.computing(Layer::Asm, key), "layers keep separate memos");
+            release.wait();
+        });
+        assert!(!cache.computing(Layer::Ir, key), "a finished value is no longer in flight");
+        let _ = cache.ir_golden(&m, &exec);
+        assert_eq!(cache.stats().goldens_run, 0, "the lookup reuses the value computed above");
     }
 
     #[test]

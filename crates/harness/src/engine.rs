@@ -21,7 +21,7 @@
 //! workers use, which is what makes a sharded campaign byte-identical to
 //! a local one.
 
-use crate::cache::GoldenCache;
+use crate::cache::{module_hash, program_hash, GoldenCache};
 use crate::checkpoint::{CheckpointLog, Header, MAGIC, VERSION};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::{Layer, TrialUnit, UnitKey};
@@ -35,7 +35,7 @@ use flowery_ir::value::{FuncId, InstId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 pub use crate::checkpoint::BatchRecord;
 
@@ -216,6 +216,9 @@ struct UnitState {
     /// Batches recorded (executed or reused) — feeds the ETA estimate.
     recorded: AtomicU64,
     progress: Mutex<UnitProgress>,
+    /// Content hashes of the unit's program and of its raw twin's: the
+    /// cache keys building its runner looks up. Computed on first need.
+    keys: OnceLock<Vec<u64>>,
 }
 
 struct Shared<'a> {
@@ -238,6 +241,26 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
+    /// True when building a runner for unit `ui` now would wait for
+    /// another worker that is still computing the unit's golden, snapshot
+    /// set or prune inputs, or its raw twin's snapshot set.
+    fn runner_busy(&self, ui: usize) -> bool {
+        let unit = &self.units[ui];
+        let keys = self.states[ui].keys.get_or_init(|| match unit.key.layer {
+            Layer::Ir => [Some(&unit.module), unit.raw.as_ref()]
+                .into_iter()
+                .flatten()
+                .map(|m| module_hash(m))
+                .collect(),
+            Layer::Asm => [unit.program.as_ref(), unit.raw_program.as_ref()]
+                .into_iter()
+                .flatten()
+                .map(|p| program_hash(p))
+                .collect(),
+        });
+        keys.iter().any(|&k| self.cache.computing(unit.key.layer, k))
+    }
+
     fn snapshot(&self) -> MetricsSnapshot {
         let mut remaining = 0u64;
         for st in &self.states {
@@ -283,6 +306,48 @@ impl Shared<'_> {
     }
 }
 
+/// An IR trial runner for `unit` on its cached golden. With `snapshots`
+/// the unit's snapshot set is fetched first and attached: its capture run
+/// doubles as the golden run (and seeds the golden cache), so no separate
+/// golden execution happens.
+pub(crate) fn ir_runner<'u>(
+    unit: &'u TrialUnit,
+    cache: &GoldenCache,
+    exec: &ExecConfig,
+    snapshots: bool,
+) -> IrTrialRunner<'u> {
+    if snapshots {
+        let set = cache.ir_snapshots_for(&unit.module, unit.raw.as_deref(), exec);
+        let mut r = IrTrialRunner::with_golden(&unit.module, set.golden().clone(), exec);
+        r.attach_snapshots(set);
+        r
+    } else {
+        let g = cache.ir_golden(&unit.module, exec);
+        IrTrialRunner::with_golden(&unit.module, (*g).clone(), exec)
+    }
+}
+
+/// Assembly twin of [`ir_runner`]; snapshot sets share the golden prefix
+/// of the unit's raw twin when it has one.
+pub(crate) fn asm_runner<'u>(
+    unit: &'u TrialUnit,
+    cache: &GoldenCache,
+    exec: &ExecConfig,
+    snapshots: bool,
+) -> AsmTrialRunner<'u> {
+    let p = unit.program.as_ref().expect("asm unit has a program");
+    if snapshots {
+        let raw = unit.raw.as_deref().zip(unit.raw_program.as_deref());
+        let set = cache.asm_snapshots_for(&unit.module, p, raw, exec);
+        let mut r = AsmTrialRunner::with_golden(&unit.module, p, set.golden().clone(), exec);
+        r.attach_snapshots(set);
+        r
+    } else {
+        let g = cache.asm_golden(&unit.module, p, exec);
+        AsmTrialRunner::with_golden(&unit.module, p, (*g).clone(), exec)
+    }
+}
+
 /// A per-worker trial executor for one unit, built on the cached golden.
 enum RunnerInner<'u> {
     Ir(IrTrialRunner<'u>),
@@ -304,43 +369,15 @@ pub struct UnitRunner<'u> {
 
 impl<'u> UnitRunner<'u> {
     pub fn new(unit: &'u TrialUnit, cache: &GoldenCache, cfg: &HarnessConfig) -> UnitRunner<'u> {
-        let exec = &cfg.exec;
         let inner = match unit.key.layer {
-            Layer::Ir => {
-                // With snapshots on, the set is fetched first: its capture
-                // run doubles as the golden run (and seeds the golden
-                // cache), so no separate golden execution happens.
-                let r = if cfg.snapshots {
-                    let set = cache.ir_snapshots_for(&unit.module, unit.raw.as_deref(), exec);
-                    let mut r = IrTrialRunner::with_golden(&unit.module, set.golden().clone(), exec);
-                    r.attach_snapshots(set);
-                    r
-                } else {
-                    let g = cache.ir_golden(&unit.module, exec);
-                    IrTrialRunner::with_golden(&unit.module, (*g).clone(), exec)
-                };
-                RunnerInner::Ir(r)
-            }
-            Layer::Asm => {
-                let p = unit.program.as_ref().expect("asm unit has a program");
-                let r = if cfg.snapshots {
-                    let raw = unit.raw.as_deref().zip(unit.raw_program.as_deref());
-                    let set = cache.asm_snapshots_for(&unit.module, p, raw, exec);
-                    let mut r = AsmTrialRunner::with_golden(&unit.module, p, set.golden().clone(), exec);
-                    r.attach_snapshots(set);
-                    r
-                } else {
-                    let g = cache.asm_golden(&unit.module, p, exec);
-                    AsmTrialRunner::with_golden(&unit.module, p, (*g).clone(), exec)
-                };
-                RunnerInner::Asm(r)
-            }
+            Layer::Ir => RunnerInner::Ir(ir_runner(unit, cache, &cfg.exec, cfg.snapshots)),
+            Layer::Asm => RunnerInner::Asm(asm_runner(unit, cache, &cfg.exec, cfg.snapshots)),
         };
         let prior = (cfg.static_prune && unit.key.layer == Layer::Asm).then(|| {
             let p = unit.program.as_ref().expect("asm unit has a program");
             let table = cache.asm_bits(&unit.module, p);
-            let map = cache.asm_site_map(&unit.module, p, exec);
-            let hash = table.fingerprint(crate::cache::program_hash(p));
+            let map = cache.asm_site_map(&unit.module, p, &cfg.exec);
+            let hash = table.fingerprint(program_hash(p));
             StaticPrior::new(table, map, hash)
         });
         UnitRunner { inner, unit, prior }
@@ -434,25 +471,34 @@ fn worker(windex: usize, sh: &Shared<'_>) {
             return;
         }
         // Prefer unit `windex % n` of the seeding order, steal from the
-        // rest in round-robin (flagged-first when pruning is on).
+        // rest in round-robin (flagged-first when pruning is on). The first
+        // pass skips units this worker has no runner for while another
+        // worker is still computing what that runner is built from, so the
+        // worker starts other work instead of blocking on the cache; only
+        // when nothing else is left does the second pass wait.
         let mut claimed = None;
-        'scan: for off in 0..n {
-            let ui = sh.order[(windex + off) % n];
-            let st = &sh.states[ui];
-            if st.done.load(Ordering::Relaxed) {
-                continue;
-            }
-            loop {
-                let b = st.cursor.fetch_add(1, Ordering::Relaxed);
-                if b >= sh.max_batches {
-                    continue 'scan;
-                }
-                // Batches satisfied by a checkpoint are skipped, not re-run.
-                if sh.states[ui].progress.lock().unwrap().has_batch(b) {
+        'pass: for patient in [false, true] {
+            'scan: for off in 0..n {
+                let ui = sh.order[(windex + off) % n];
+                let st = &sh.states[ui];
+                if st.done.load(Ordering::Relaxed) {
                     continue;
                 }
-                claimed = Some((ui, b));
-                break 'scan;
+                if !patient && !runners.contains_key(&ui) && sh.runner_busy(ui) {
+                    continue;
+                }
+                loop {
+                    let b = st.cursor.fetch_add(1, Ordering::Relaxed);
+                    if b >= sh.max_batches {
+                        continue 'scan;
+                    }
+                    // Batches satisfied by a checkpoint are skipped, not re-run.
+                    if sh.states[ui].progress.lock().unwrap().has_batch(b) {
+                        continue;
+                    }
+                    claimed = Some((ui, b));
+                    break 'pass;
+                }
             }
         }
         let Some((ui, b)) = claimed else { return };
@@ -492,6 +538,7 @@ pub fn run_units(
             done: AtomicBool::new(false),
             recorded: AtomicU64::new(0),
             progress: Mutex::new(UnitProgress::new(max_batches)),
+            keys: OnceLock::new(),
         })
         .collect();
 

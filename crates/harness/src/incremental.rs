@@ -23,15 +23,14 @@
 
 use crate::cache::GoldenCache;
 use crate::checkpoint::{self, Header, RegionRecord};
-use crate::engine::{HarnessConfig, UnitResult};
+use crate::engine::{asm_runner, ir_runner, HarnessConfig, UnitResult};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan::{Layer, TrialUnit, UnitKey};
-use flowery_inject::campaign::{AsmTrialRunner, IrTrialRunner};
 use flowery_inject::{Outcome, OutcomeCounts};
+use flowery_ir::hash::{fnv1a, fnv_fold};
 use flowery_ir::value::FuncId;
 use flowery_regions::{
-    combine, compose_exact, compose_weighted, diff, fnv1a, Fate, RegionProfile, RegionSet, WeightedEstimate,
-    REGION_SCHEMA_VERSION,
+    compose_exact, compose_weighted, diff, Fate, RegionProfile, RegionSet, WeightedEstimate, REGION_SCHEMA_VERSION,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -46,11 +45,11 @@ pub fn unit_salt(key: &UnitKey, cfg: &HarnessConfig) -> u64 {
     let model = serde_json::to_string(&cfg.effective_model()).unwrap_or_default();
     let detectors = serde_json::to_string(&cfg.detectors).unwrap_or_default();
     let mut h = fnv1a(key.id().as_bytes());
-    h = combine(h, fnv1a(model.as_bytes()));
-    h = combine(h, fnv1a(detectors.as_bytes()));
-    h = combine(h, cfg.double_bit as u64);
-    h = combine(h, cfg.exec.mem_size);
-    h = combine(h, cfg.exec.stack_size);
+    h = fnv_fold(h, fnv1a(model.as_bytes()));
+    h = fnv_fold(h, fnv1a(detectors.as_bytes()));
+    h = fnv_fold(h, cfg.double_bit as u64);
+    h = fnv_fold(h, cfg.exec.mem_size);
+    h = fnv_fold(h, cfg.exec.stack_size);
     h
 }
 
@@ -78,8 +77,8 @@ pub fn unit_region_set(unit: &TrialUnit, cache: &GoldenCache, cfg: &HarnessConfi
 pub fn region_fingerprint(units: &[TrialUnit], cache: &GoldenCache, cfg: &HarnessConfig) -> u64 {
     let mut h = fnv1a(b"flowery-region-matrix");
     for u in units {
-        h = combine(h, fnv1a(u.key.id().as_bytes()));
-        h = combine(h, unit_region_set(u, cache, cfg).fingerprint());
+        h = fnv_fold(h, fnv1a(u.key.id().as_bytes()));
+        h = fnv_fold(h, unit_region_set(u, cache, cfg).fingerprint());
     }
     h
 }
@@ -156,7 +155,7 @@ pub fn region_records(
         // layer) still need a profile so trials stay fully accounted.
         for (name, _) in &res.region_counts {
             if set.get(name).is_none() {
-                push(name, combine(fnv1a(name.as_bytes()), unit_salt(&unit.key, cfg)), 0);
+                push(name, fnv_fold(fnv1a(name.as_bytes()), unit_salt(&unit.key, cfg)), 0);
             }
         }
         profiles.sort_by(|a, b| a.name.cmp(&b.name));
@@ -359,8 +358,9 @@ pub fn run_region_task(
     let mut out = RegionTaskResult::default();
     match resolve_scope(unit, region) {
         Scope::IrFunc(fid) => {
-            let g = cache.ir_golden(&unit.module, &cfg.exec);
-            let mut r = IrTrialRunner::with_golden(&unit.module, (*g).clone(), &cfg.exec);
+            // Scoped trials index a region-local site counter, which
+            // snapshot restore points cannot seed: no snapshots.
+            let mut r = ir_runner(unit, cache, &cfg.exec, false);
             for i in range {
                 let t = r.run_trial_model_scoped(seed, i, model, &cfg.detectors, fid, mass);
                 out.counts.record(t.outcome);
@@ -374,9 +374,7 @@ pub fn run_region_task(
             }
         }
         Scope::AsmRange(lo, hi) => {
-            let program = unit.program.as_ref().expect("asm unit has a program");
-            let g = cache.asm_golden(&unit.module, program, &cfg.exec);
-            let mut r = AsmTrialRunner::with_golden(&unit.module, program, (*g).clone(), &cfg.exec);
+            let mut r = asm_runner(unit, cache, &cfg.exec, false);
             for i in range {
                 let t = r.run_trial_model_scoped(seed, i, model, &cfg.detectors, lo..hi, mass);
                 out.counts.record(t.outcome);

@@ -162,7 +162,7 @@ pub fn matrix_fingerprint(units: &[TrialUnit]) -> u64 {
         }
         text.push('\n');
     }
-    crate::cache::fnv1a(text.as_bytes())
+    flowery_ir::hash::fnv1a(text.as_bytes())
 }
 
 /// Build the standard matrix: for every benchmark, Raw at both layers,

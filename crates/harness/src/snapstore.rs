@@ -66,7 +66,7 @@ impl SnapshotStore {
     /// `hash`.
     pub fn load_asm(&self, module: &Module, program: &AsmProgram, hash: u64) -> Option<AsmSnapshotSet> {
         let bytes = fs::read(self.path("asm", hash)).ok()?;
-        AsmSnapshotSet::from_bytes(&bytes, module, program, hash).ok()
+        AsmSnapshotSet::from_bytes(&bytes, (module, program), hash).ok()
     }
 
     /// Persist an assembly snapshot set.

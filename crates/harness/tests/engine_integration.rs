@@ -3,8 +3,8 @@
 //! deterministic adaptive early stopping.
 
 use flowery_harness::{
-    load_checkpoint, run_units, CheckpointLog, Control, GoldenCache, HarnessConfig, Layer, RunOptions, SnapshotStore,
-    TrialUnit, UnitKey, UnitResult, Variant,
+    build_matrix, load_checkpoint, module_hash, program_hash, run_units, CheckpointLog, Control, GoldenCache,
+    HarnessConfig, Layer, MatrixSpec, RunOptions, SnapshotStore, TrialUnit, UnitKey, UnitResult, Variant,
 };
 use flowery_inject::{run_asm_campaign, run_ir_campaign, CampaignConfig};
 use flowery_ir::Module;
@@ -66,6 +66,32 @@ fn results_are_byte_identical_across_thread_counts() {
     assert_eq!(r1.units.len(), 4);
     // The acceptance bar: serialized results match byte for byte.
     assert_eq!(serialized(&r1.units), serialized(&r4.units));
+}
+
+#[test]
+fn snapshot_captures_are_single_flight_at_any_thread_count() {
+    // Two names over one source: their units share every set by content,
+    // and each hardened variant shares its raw twin's golden prefix — the
+    // lookups that race when workers reach the same content at once.
+    let spec = MatrixSpec {
+        sources: vec![("a".into(), SRC_A.into()), ("a2".into(), SRC_A.into())],
+        scale: flowery_workloads::Scale::Tiny,
+        ..MatrixSpec::default()
+    };
+    let units = build_matrix(&spec);
+    let distinct: std::collections::HashSet<(bool, u64)> = units
+        .iter()
+        .map(|u| match u.program.as_deref() {
+            Some(p) => (true, program_hash(p)),
+            None => (false, module_hash(&u.module)),
+        })
+        .collect();
+    assert!(distinct.len() < units.len(), "test premise: units share sets");
+    for threads in [1, 2, 4] {
+        let cache = GoldenCache::new();
+        let r = run_units(&units, &cfg(200, 50, threads), &cache, RunOptions::default());
+        assert_eq!(r.metrics.snap_captures, distinct.len() as u64, "{threads} threads: {:?}", r.metrics);
+    }
 }
 
 #[test]

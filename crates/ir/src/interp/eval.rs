@@ -4,7 +4,7 @@ use crate::inst::{Callee, InstKind, Intrinsic, Terminator};
 use crate::interp::memory::{align_up, Memory, PageMap, TrapKind, GLOBAL_BASE, PAGE_SIZE};
 use crate::interp::ops;
 use crate::interp::prefix;
-use crate::interp::snapshot::{Cadence, IrScratch, IrSnapshot, IrSnapshotSet, SnapshotRecorder};
+use crate::interp::snapshot::{Cadence, IrRecorder, IrScratch, IrSnapshot, IrSnapshotSet, IrState};
 use crate::interp::snapshot::{AUTO_MAX_SNAPS, AUTO_SITE_CADENCE};
 use crate::interp::{ExecConfig, ExecResult, ExecStatus, FaultEffect, FaultSpec, Profile, TAG_BYTE, TAG_F64, TAG_I64};
 use crate::module::Module;
@@ -101,6 +101,31 @@ struct ExecInit {
     profile: Option<Profile>,
 }
 
+impl ExecInit {
+    /// The state a run resumes from at `snap`: `mem` already reset to its
+    /// overlay, the golden output up to it (into the recycled `output`
+    /// buffer), its stack cloned into `pool` buffers, and `profile`.
+    fn resume(
+        snap: &IrSnapshot,
+        mem: Memory,
+        mut output: Vec<u8>,
+        golden_output: &[u8],
+        pool: &mut FramePool,
+        profile: Option<Profile>,
+    ) -> ExecInit {
+        output.extend_from_slice(&golden_output[..snap.state.output_len]);
+        ExecInit {
+            mem,
+            sp: snap.state.sp,
+            output,
+            dyn_insts: snap.dyn_insts,
+            fault_sites: snap.fault_sites,
+            stack: pool.clone_stack(&snap.state.stack),
+            profile,
+        }
+    }
+}
+
 /// Interpreter for one module. Reusable across runs; each [`Interpreter::run`]
 /// call builds fresh memory.
 pub struct Interpreter<'m> {
@@ -152,17 +177,11 @@ impl<'m> Interpreter<'m> {
     fn capture_with(&self, config: &ExecConfig, cadence: Cadence, max_snaps: Option<usize>) -> IrSnapshotSet {
         let base = Memory::new(self.module, config.mem_size, config.stack_size);
         let mut pool = FramePool::default();
-        let mut rec = SnapshotRecorder::new(self.module, cadence, config.snapshot_budget, max_snaps);
+        let entry = self.module.functions.iter().map(|f| vec![u64::MAX; f.blocks.len()]).collect();
+        let mut rec = IrRecorder::new(entry, cadence, config.snapshot_budget, max_snaps);
         let init = self.fresh_init(base.clone(), Vec::new(), &mut pool);
         let (golden, _mem) = self.exec(config, None, init, Some(&mut rec), &mut pool);
-        IrSnapshotSet {
-            base,
-            golden,
-            cadence: rec.final_cadence(),
-            block_entry: rec.entry,
-            snaps: rec.snaps,
-            shared_snaps: 0,
-        }
+        rec.finish(base, golden)
     }
 
     /// Build this (variant) module's snapshot set by *sharing* the golden
@@ -186,21 +205,23 @@ impl<'m> Interpreter<'m> {
         if config.profile {
             return None;
         }
-        if raw_set.base.size() != config.mem_size || raw_set.base.stack_limit() != config.mem_size - config.stack_size {
+        if !raw_set.matches_geometry(config.mem_size, config.stack_size) {
             return None;
         }
-        let entry = raw_set.block_entry.as_ref()?;
+        let entry = raw_set.first_entry()?;
         let d = prefix::divergence_dyn(raw, self.module, entry)?;
         let mut shared = Vec::new();
         for s in raw_set.snaps.iter().take_while(|s| s.dyn_insts <= d) {
             shared.push(IrSnapshot {
                 dyn_insts: s.dyn_insts,
                 fault_sites: s.fault_sites,
-                sp: s.sp,
-                output_len: s.output_len,
-                stack: prefix::translate_stack(&s.stack, self.module)?,
-                profile: None,
                 pages: s.pages.clone(),
+                state: IrState {
+                    sp: s.state.sp,
+                    output_len: s.state.output_len,
+                    stack: prefix::translate_stack(&s.state.stack, self.module)?,
+                    profile: None,
+                },
             });
         }
         if shared.is_empty() {
@@ -229,30 +250,11 @@ impl<'m> Interpreter<'m> {
         // re-copy them (which would break `Arc` sharing with the raw set).
         mem.drain_dirty_pages();
         let mut pool = FramePool::default();
-        let mut output = Vec::with_capacity(raw_set.golden.output.len());
-        output.extend_from_slice(&raw_set.golden.output[..last.output_len]);
-        let init = ExecInit {
-            mem,
-            sp: last.sp,
-            output,
-            dyn_insts: last.dyn_insts,
-            fault_sites: last.fault_sites,
-            stack: pool.clone_stack(&last.stack),
-            profile: None,
-        };
-        let mut rec = SnapshotRecorder::from_shared(raw_set.cadence, config.snapshot_budget, None, shared);
+        let output = Vec::with_capacity(raw_set.golden.output.len());
+        let init = ExecInit::resume(last, mem, output, &raw_set.golden.output, &mut pool, None);
+        let mut rec = IrRecorder::from_shared(raw_set.cadence, config.snapshot_budget, shared, d);
         let (golden, _mem) = self.exec(config, None, init, Some(&mut rec), &mut pool);
-        let cadence = rec.final_cadence();
-        let snaps = rec.snaps;
-        let shared_snaps = snaps.iter().take_while(|s| s.dyn_insts <= d).count();
-        Some(IrSnapshotSet {
-            base,
-            golden,
-            cadence,
-            snaps,
-            block_entry: None,
-            shared_snaps,
-        })
+        Some(rec.finish(base, golden))
     }
 
     /// Run one faulty trial, restoring the nearest snapshot at-or-before
@@ -285,18 +287,10 @@ impl<'m> Interpreter<'m> {
             None
         };
         let init = match snap {
-            Some(snap) if !config.profile || snap.profile.is_some() => {
+            Some(snap) if !config.profile || snap.state.profile.is_some() => {
                 mem.reset_to(&set.base, &snap.pages);
-                output.extend_from_slice(&set.golden.output[..snap.output_len]);
-                ExecInit {
-                    mem,
-                    sp: snap.sp,
-                    output,
-                    dyn_insts: snap.dyn_insts,
-                    fault_sites: snap.fault_sites,
-                    stack: scratch.pool.clone_stack(&snap.stack),
-                    profile: if config.profile { snap.profile.clone() } else { None },
-                }
+                let profile = if config.profile { snap.state.profile.clone() } else { None };
+                ExecInit::resume(snap, mem, output, &set.golden.output, &mut scratch.pool, profile)
             }
             _ => {
                 // Site earlier than the first snapshot: run from the start,
@@ -344,7 +338,7 @@ impl<'m> Interpreter<'m> {
         config: &ExecConfig,
         fault: Option<FaultSpec>,
         init: ExecInit,
-        mut recorder: Option<&mut SnapshotRecorder>,
+        mut recorder: Option<&mut IrRecorder>,
         pool: &mut FramePool,
     ) -> (ExecResult, Memory) {
         let ExecInit {
@@ -377,7 +371,13 @@ impl<'m> Interpreter<'m> {
             // instruction with index dyn_insts not yet started" -----------
             if let Some(rec) = recorder.as_deref_mut() {
                 if rec.due(dyn_insts, fault_sites) {
-                    rec.capture(dyn_insts, fault_sites, sp, output.len(), &stack, profile.as_ref(), &mut mem);
+                    let state = IrState {
+                        sp,
+                        output_len: output.len(),
+                        stack: stack.to_vec(),
+                        profile: profile.clone(),
+                    };
+                    rec.capture(dyn_insts, fault_sites, state, &mut mem);
                 }
             }
 
@@ -959,7 +959,7 @@ mod tests {
         let interp = Interpreter::new(&m);
         let cfg = ExecConfig { max_dyn_insts: 100_000, ..Default::default() };
         let set = interp.capture_snapshots(&cfg, 64);
-        assert!(set.snaps.iter().any(|s| s.stack.len() > 2), "snapshots should catch deep recursion");
+        assert!(set.snaps.iter().any(|s| s.state.stack.len() > 2), "snapshots should catch deep recursion");
         let mut scratch = IrScratch::new();
         let golden = set.golden();
         for site in (0..golden.fault_sites).step_by(31) {
@@ -1088,7 +1088,7 @@ mod tests {
         let set = interp.capture_snapshots(&cfg, 16);
         assert!(set.len() > 2, "expected several snapshots");
         assert!(
-            set.snaps.iter().all(|s| s.profile.is_some()),
+            set.snaps.iter().all(|s| s.state.profile.is_some()),
             "profiled capture snapshots carry the accumulator"
         );
         assert!(set.golden().profile.is_some());
@@ -1203,7 +1203,7 @@ mod tests {
             .capture_snapshots_from(&cfg, &raw, &raw_set)
             .expect("late divergence must allow sharing");
         assert!(shared.shared_snaps() >= 1, "at least one snapshot shared below the divergence");
-        assert!(shared.block_entry.is_none(), "continuation sets cannot seed further sharing");
+        assert!(shared.entry.is_none(), "continuation sets cannot seed further sharing");
         // Shared snapshots Arc-share their pages with the raw set.
         for (s, r) in shared.snaps.iter().zip(&raw_set.snaps).take(shared.shared_snaps()) {
             assert_eq!(s.dyn_insts, r.dyn_insts);

@@ -53,6 +53,32 @@ pub enum TrapKind {
     OutputFlood,
 }
 
+impl TrapKind {
+    /// Every trap kind in byte-code order: a kind's code — in snapshot
+    /// files and in native-code exit values — is its index here.
+    pub const ALL: [TrapKind; 8] = [
+        TrapKind::OobLoad,
+        TrapKind::OobStore,
+        TrapKind::DivFault,
+        TrapKind::InstLimit,
+        TrapKind::CallDepth,
+        TrapKind::StackOverflow,
+        TrapKind::BadControl,
+        TrapKind::OutputFlood,
+    ];
+
+    pub fn code(self) -> u8 {
+        TrapKind::ALL
+            .iter()
+            .position(|&k| k == self)
+            .expect("every trap kind is listed") as u8
+    }
+
+    pub fn from_code(code: u8) -> Option<TrapKind> {
+        TrapKind::ALL.get(code as usize).copied()
+    }
+}
+
 /// Byte-addressed memory image.
 #[derive(Debug, Clone)]
 pub struct Memory {

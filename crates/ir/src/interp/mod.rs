@@ -7,6 +7,7 @@
 //!   LLFI-style fault model of the paper (§4.3): stores, branches and void
 //!   calls produce no result and therefore are not IR-level fault sites.
 
+pub mod codec;
 pub mod memory;
 pub mod ops;
 pub mod snapshot;

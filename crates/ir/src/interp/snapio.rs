@@ -1,227 +1,42 @@
-//! Stable binary serialization for [`IrSnapshotSet`] — persisted next to a
-//! campaign checkpoint so `--resume` skips the capture runs.
-//!
-//! Format (all integers little-endian):
-//!
-//! ```text
-//!   magic "FLSNAPIR" | version u32 | module_hash u64
-//!   mem_size u64 | stack_size u64            (base image is rebuilt, not stored)
-//!   cadence tag u8 + value u64 | shared_snaps u64
-//!   golden ExecResult | block_entry option | snapshot count u64
-//!   per snapshot: counters, stack frames, optional profile, page DELTA
-//!   fnv1a-64 checksum over everything above
-//! ```
-//!
-//! Page overlays are cumulative and `Arc`-shared across snapshots, so each
-//! snapshot stores only the pages whose `Arc` differs from the predecessor's
-//! entry; the loader rebuilds each overlay as `prev.clone()` plus the delta,
-//! which round-trips the sharing structure without duplicating pages.
-//!
-//! Loading never panics on bad input: the checksum is verified before any
-//! parsing, and every length/index is validated against the module.
+//! The IR layer's part of the snapshot file format (see
+//! [`crate::interp::codec`] for the shared header, page deltas and
+//! checksum): magic `FLSNAPIR`, the golden [`ExecResult`], the per-block
+//! first-entry table, and each snapshot's stack pointer, output length,
+//! call stack and optional profile — every index validated against the
+//! module.
 
+use crate::interp::codec::{put_bytes, put_opt, put_status, put_u32, put_u64, put_u64s, Cursor};
 use crate::interp::eval::Frame;
-use crate::interp::memory::{Memory, PageMap, TrapKind, GLOBAL_BASE};
-use crate::interp::snapshot::{Cadence, IrSnapshot, IrSnapshotSet};
-use crate::interp::{ExecResult, ExecStatus, Profile};
+use crate::interp::snapshot::{IrLayer, IrState, SnapLayer};
+use crate::interp::{ExecResult, Profile};
 use crate::module::Module;
 use crate::value::{BlockId, FuncId, InstId};
-use std::sync::Arc;
 
-const MAGIC: &[u8; 8] = b"FLSNAPIR";
-const VERSION: u32 = 1;
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-// ---- writer helpers -------------------------------------------------------
-
-fn w_u32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(w: &mut Vec<u8>, v: u64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_bytes(w: &mut Vec<u8>, b: &[u8]) {
-    w_u64(w, b.len() as u64);
-    w.extend_from_slice(b);
-}
-
-fn w_u64s(w: &mut Vec<u8>, vs: &[u64]) {
-    w_u64(w, vs.len() as u64);
-    for &v in vs {
-        w_u64(w, v);
-    }
-}
-
-fn trap_code(t: TrapKind) -> u8 {
-    match t {
-        TrapKind::OobLoad => 0,
-        TrapKind::OobStore => 1,
-        TrapKind::DivFault => 2,
-        TrapKind::InstLimit => 3,
-        TrapKind::CallDepth => 4,
-        TrapKind::StackOverflow => 5,
-        TrapKind::BadControl => 6,
-        TrapKind::OutputFlood => 7,
-    }
-}
-
-fn trap_from(c: u8) -> Result<TrapKind, String> {
-    Ok(match c {
-        0 => TrapKind::OobLoad,
-        1 => TrapKind::OobStore,
-        2 => TrapKind::DivFault,
-        3 => TrapKind::InstLimit,
-        4 => TrapKind::CallDepth,
-        5 => TrapKind::StackOverflow,
-        6 => TrapKind::BadControl,
-        7 => TrapKind::OutputFlood,
-        _ => return Err(format!("snapshot file: unknown trap kind {c}")),
-    })
-}
-
-fn write_profile(w: &mut Vec<u8>, p: Option<&Profile>) {
-    match p {
-        None => w.push(0),
-        Some(p) => {
-            w.push(1);
-            w_u64(w, p.counts.len() as u64);
-            for v in &p.counts {
-                w_u64s(w, v);
-            }
+fn put_profile(w: &mut Vec<u8>, p: Option<&Profile>) {
+    put_opt(w, p, |w, p| {
+        put_u64(w, p.counts.len() as u64);
+        for v in &p.counts {
+            put_u64s(w, v);
         }
-    }
-}
-
-fn write_result(w: &mut Vec<u8>, r: &ExecResult) {
-    match r.status {
-        ExecStatus::Completed(v) => {
-            w.push(0);
-            w_u64(w, v);
-        }
-        ExecStatus::Detected => w.push(1),
-        ExecStatus::Trapped(t) => {
-            w.push(2);
-            w.push(trap_code(t));
-        }
-    }
-    w_bytes(w, &r.output);
-    w_u64(w, r.dyn_insts);
-    w_u64(w, r.fault_sites);
-    match r.injected_at {
-        None => w.push(0),
-        Some((f, i)) => {
-            w.push(1);
-            w_u32(w, f.0);
-            w_u32(w, i.0);
-        }
-    }
-    write_profile(w, r.profile.as_ref());
-}
-
-// ---- reader ---------------------------------------------------------------
-
-struct Cursor<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.b.len() - self.pos < n {
-            return Err("snapshot file: truncated".into());
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A count of items that each occupy at least `elem` bytes — bounds the
-    /// allocation a corrupt length field could otherwise trigger.
-    fn count(&mut self, elem: usize) -> Result<usize, String> {
-        let n = self.u64()?;
-        let remaining = (self.b.len() - self.pos) as u64;
-        if n.saturating_mul(elem as u64) > remaining {
-            return Err("snapshot file: length field exceeds file size".into());
-        }
-        Ok(n as usize)
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, String> {
-        let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, String> {
-        let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
+    });
 }
 
 fn read_profile(c: &mut Cursor, m: &Module) -> Result<Option<Profile>, String> {
-    match c.u8()? {
-        0 => Ok(None),
-        1 => {
-            let n = c.count(8)?;
-            if n != m.functions.len() {
+    c.opt("profile", |c| {
+        let n = c.count(8)?;
+        if n != m.functions.len() {
+            return Err("snapshot file: profile shape does not match module".into());
+        }
+        let mut counts = Vec::with_capacity(n);
+        for f in &m.functions {
+            let v = c.u64s()?;
+            if v.len() != f.insts.len() {
                 return Err("snapshot file: profile shape does not match module".into());
             }
-            let mut counts = Vec::with_capacity(n);
-            for f in &m.functions {
-                let v = c.u64s()?;
-                if v.len() != f.insts.len() {
-                    return Err("snapshot file: profile shape does not match module".into());
-                }
-                counts.push(v);
-            }
-            Ok(Some(Profile { counts }))
+            counts.push(v);
         }
-        t => Err(format!("snapshot file: bad profile tag {t}")),
-    }
-}
-
-fn read_result(c: &mut Cursor, m: &Module) -> Result<ExecResult, String> {
-    let status = match c.u8()? {
-        0 => ExecStatus::Completed(c.u64()?),
-        1 => ExecStatus::Detected,
-        2 => ExecStatus::Trapped(trap_from(c.u8()?)?),
-        t => return Err(format!("snapshot file: bad status tag {t}")),
-    };
-    let output = c.bytes()?;
-    let dyn_insts = c.u64()?;
-    let fault_sites = c.u64()?;
-    let injected_at = match c.u8()? {
-        0 => None,
-        1 => Some((FuncId(c.u32()?), InstId(c.u32()?))),
-        t => return Err(format!("snapshot file: bad injected_at tag {t}")),
-    };
-    let profile = read_profile(c, m)?;
-    Ok(ExecResult { status, output, dyn_insts, fault_sites, injected_at, profile })
+        Ok(Profile { counts })
+    })
 }
 
 fn read_frame(c: &mut Cursor, m: &Module) -> Result<Frame, String> {
@@ -229,11 +44,7 @@ fn read_frame(c: &mut Cursor, m: &Module) -> Result<Frame, String> {
     let block = BlockId(c.u32()?);
     let ip = c.u64()? as usize;
     let saved_sp = c.u64()?;
-    let ret_dest = match c.u8()? {
-        0 => None,
-        1 => Some(InstId(c.u32()?)),
-        t => return Err(format!("snapshot file: bad ret_dest tag {t}")),
-    };
+    let ret_dest = c.opt("ret_dest", |c| Ok(InstId(c.u32()?)))?;
     let values = c.u64s()?;
     let params = c.u64s()?;
     let f = m
@@ -250,190 +61,92 @@ fn read_frame(c: &mut Cursor, m: &Module) -> Result<Frame, String> {
     Ok(Frame { func, block, ip, values, params, saved_sp, ret_dest })
 }
 
-impl IrSnapshotSet {
-    /// Serialize to the stable on-disk format. `module_hash` is the content
-    /// hash of the module this set was captured from; the loader refuses a
-    /// file whose hash does not match.
-    pub fn to_bytes(&self, module_hash: u64) -> Vec<u8> {
-        let mut w = Vec::new();
-        w.extend_from_slice(MAGIC);
-        w_u32(&mut w, VERSION);
-        w_u64(&mut w, module_hash);
-        w_u64(&mut w, self.base.size());
-        w_u64(&mut w, self.base.size() - self.base.stack_limit());
-        match self.cadence {
-            Cadence::Insts(k) => {
-                w.push(0);
-                w_u64(&mut w, k);
-            }
-            Cadence::Sites(k) => {
-                w.push(1);
-                w_u64(&mut w, k);
-            }
-        }
-        w_u64(&mut w, self.shared_snaps as u64);
-        write_result(&mut w, &self.golden);
-        match &self.block_entry {
-            None => w.push(0),
-            Some(e) => {
-                w.push(1);
-                w_u64(&mut w, e.len() as u64);
-                for v in e {
-                    w_u64s(&mut w, v);
-                }
-            }
-        }
-        w_u64(&mut w, self.snaps.len() as u64);
-        let mut prev: Option<&PageMap> = None;
-        for s in &self.snaps {
-            w_u64(&mut w, s.dyn_insts);
-            w_u64(&mut w, s.fault_sites);
-            w_u64(&mut w, s.sp);
-            w_u64(&mut w, s.output_len as u64);
-            w_u64(&mut w, s.stack.len() as u64);
-            for f in &s.stack {
-                w_u32(&mut w, f.func.0);
-                w_u32(&mut w, f.block.0);
-                w_u64(&mut w, f.ip as u64);
-                w_u64(&mut w, f.saved_sp);
-                match f.ret_dest {
-                    None => w.push(0),
-                    Some(i) => {
-                        w.push(1);
-                        w_u32(&mut w, i.0);
-                    }
-                }
-                w_u64s(&mut w, &f.values);
-                w_u64s(&mut w, &f.params);
-            }
-            write_profile(&mut w, s.profile.as_ref());
-            // Overlays only grow; encode the pages whose Arc is new.
-            debug_assert!(prev.is_none_or(|p| p.keys().all(|k| s.pages.contains_key(k))));
-            let mut delta: Vec<(u32, &Arc<[u8]>)> = s
-                .pages
-                .iter()
-                .filter(|(k, v)| prev.and_then(|p| p.get(k)).is_none_or(|pv| !Arc::ptr_eq(pv, v)))
-                .map(|(k, v)| (*k, v))
-                .collect();
-            delta.sort_unstable_by_key(|(k, _)| *k);
-            w_u64(&mut w, delta.len() as u64);
-            for (k, v) in delta {
-                w_u32(&mut w, k);
-                w_u32(&mut w, v.len() as u32);
-                w.extend_from_slice(v);
-            }
-            prev = Some(&s.pages);
-        }
-        let c = fnv1a(&w);
-        w_u64(&mut w, c);
-        w
+impl SnapLayer for IrLayer {
+    const MAGIC: &'static [u8; 8] = b"FLSNAPIR";
+    type Golden = ExecResult;
+    type State = IrState;
+    /// `block_entry[func][block]`.
+    type Entry = Vec<Vec<u64>>;
+    type Ctx<'a> = &'a Module;
+
+    fn module<'a>(m: Self::Ctx<'a>) -> &'a Module {
+        m
     }
 
-    /// Deserialize a set previously written by [`IrSnapshotSet::to_bytes`]
-    /// for the same module. Rejects corrupt, truncated, version-mismatched,
-    /// or wrong-module files with a descriptive error — never panics.
-    pub fn from_bytes(bytes: &[u8], module: &Module, module_hash: u64) -> Result<IrSnapshotSet, String> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err("snapshot file: truncated".into());
+    fn put_golden(w: &mut Vec<u8>, r: &ExecResult) {
+        put_status(w, r.status);
+        put_bytes(w, &r.output);
+        put_u64(w, r.dyn_insts);
+        put_u64(w, r.fault_sites);
+        put_opt(w, r.injected_at, |w, (f, i)| {
+            put_u32(w, f.0);
+            put_u32(w, i.0);
+        });
+        put_profile(w, r.profile.as_ref());
+    }
+
+    fn read_golden(c: &mut Cursor, m: &Module) -> Result<ExecResult, String> {
+        let status = c.status()?;
+        let output = c.bytes()?;
+        let dyn_insts = c.u64()?;
+        let fault_sites = c.u64()?;
+        let injected_at = c.opt("injected_at", |c| Ok((FuncId(c.u32()?), InstId(c.u32()?))))?;
+        let profile = read_profile(c, m)?;
+        Ok(ExecResult { status, output, dyn_insts, fault_sites, injected_at, profile })
+    }
+
+    fn put_entry(w: &mut Vec<u8>, e: &Vec<Vec<u64>>) {
+        put_u64(w, e.len() as u64);
+        for v in e {
+            put_u64s(w, v);
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err("snapshot file: checksum mismatch (corrupt or truncated)".into());
+    }
+
+    fn read_entry(c: &mut Cursor, m: &Module) -> Result<Vec<Vec<u64>>, String> {
+        let n = c.count(8)?;
+        if n != m.functions.len() {
+            return Err("snapshot file: block-entry shape does not match module".into());
         }
-        let mut c = Cursor { b: body, pos: 0 };
-        if c.take(MAGIC.len())? != MAGIC {
-            return Err("snapshot file: bad magic (not an IR snapshot set)".into());
-        }
-        let version = c.u32()?;
-        if version != VERSION {
-            return Err(format!("snapshot file: unsupported format version {version} (expected {VERSION})"));
-        }
-        let hash = c.u64()?;
-        if hash != module_hash {
-            return Err("snapshot file: module content hash mismatch".into());
-        }
-        let mem_size = c.u64()?;
-        let stack_size = c.u64()?;
-        if stack_size > mem_size || mem_size < GLOBAL_BASE + stack_size + 0x1000 {
-            return Err("snapshot file: implausible memory geometry".into());
-        }
-        let cadence = match c.u8()? {
-            0 => Cadence::Insts(c.u64()?),
-            1 => Cadence::Sites(c.u64()?),
-            t => return Err(format!("snapshot file: bad cadence tag {t}")),
-        };
-        if cadence.value() == 0 {
-            return Err("snapshot file: zero cadence".into());
-        }
-        let shared_snaps = c.u64()? as usize;
-        let golden = read_result(&mut c, module)?;
-        let block_entry = match c.u8()? {
-            0 => None,
-            1 => {
-                let n = c.count(8)?;
-                if n != module.functions.len() {
-                    return Err("snapshot file: block-entry shape does not match module".into());
-                }
-                let mut e = Vec::with_capacity(n);
-                for f in &module.functions {
-                    let v = c.u64s()?;
-                    if v.len() != f.blocks.len() {
-                        return Err("snapshot file: block-entry shape does not match module".into());
-                    }
-                    e.push(v);
-                }
-                Some(e)
+        let mut e = Vec::with_capacity(n);
+        for f in &m.functions {
+            let v = c.u64s()?;
+            if v.len() != f.blocks.len() {
+                return Err("snapshot file: block-entry shape does not match module".into());
             }
-            t => return Err(format!("snapshot file: bad block-entry tag {t}")),
-        };
-        let base = Memory::new(module, mem_size, stack_size);
-        let n_snaps = c.count(8)?;
-        let mut snaps = Vec::with_capacity(n_snaps);
-        let mut prev = PageMap::new();
-        for _ in 0..n_snaps {
-            let dyn_insts = c.u64()?;
-            let fault_sites = c.u64()?;
-            let sp = c.u64()?;
-            let output_len = c.u64()? as usize;
-            if output_len > golden.output.len() {
-                return Err("snapshot file: snapshot output length exceeds golden output".into());
-            }
-            let n_frames = c.count(1)?;
-            let mut stack = Vec::with_capacity(n_frames);
-            for _ in 0..n_frames {
-                stack.push(read_frame(&mut c, module)?);
-            }
-            let profile = read_profile(&mut c, module)?;
-            let n_delta = c.count(8)?;
-            let mut pages = prev.clone();
-            for _ in 0..n_delta {
-                let page = c.u32()?;
-                let len = c.u32()? as usize;
-                if page >= base.page_count() || len != base.page_slice(page).len() {
-                    return Err("snapshot file: bad page record".into());
-                }
-                let data: Arc<[u8]> = Arc::from(c.take(len)?);
-                pages.insert(page, data);
-            }
-            prev = pages.clone();
-            snaps.push(IrSnapshot {
-                dyn_insts,
-                fault_sites,
-                sp,
-                output_len,
-                stack,
-                profile,
-                pages,
-            });
+            e.push(v);
         }
-        if c.pos != body.len() {
-            return Err("snapshot file: trailing garbage".into());
+        Ok(e)
+    }
+
+    fn put_state(w: &mut Vec<u8>, s: &IrState) {
+        put_u64(w, s.sp);
+        put_u64(w, s.output_len as u64);
+        put_u64(w, s.stack.len() as u64);
+        for f in &s.stack {
+            put_u32(w, f.func.0);
+            put_u32(w, f.block.0);
+            put_u64(w, f.ip as u64);
+            put_u64(w, f.saved_sp);
+            put_opt(w, f.ret_dest, |w, i| put_u32(w, i.0));
+            put_u64s(w, &f.values);
+            put_u64s(w, &f.params);
         }
-        if shared_snaps > snaps.len() {
-            return Err("snapshot file: shared_snaps exceeds snapshot count".into());
+        put_profile(w, s.profile.as_ref());
+    }
+
+    fn read_state(c: &mut Cursor, m: &Module, golden: &ExecResult) -> Result<IrState, String> {
+        let sp = c.u64()?;
+        let output_len = c.u64()? as usize;
+        if output_len > golden.output.len() {
+            return Err("snapshot file: snapshot output length exceeds golden output".into());
         }
-        Ok(IrSnapshotSet { base, golden, cadence, snaps, block_entry, shared_snaps })
+        let n_frames = c.count(1)?;
+        let mut stack = Vec::with_capacity(n_frames);
+        for _ in 0..n_frames {
+            stack.push(read_frame(c, m)?);
+        }
+        let profile = read_profile(c, m)?;
+        Ok(IrState { sp, output_len, stack, profile })
     }
 }
 
@@ -441,10 +154,13 @@ impl IrSnapshotSet {
 mod tests {
     use super::*;
     use crate::builder::{FuncBuilder, ModuleBuilder};
+    use crate::hash::fnv1a;
     use crate::inst::{BinOp, IPred};
+    use crate::interp::IrSnapshotSet;
     use crate::interp::{ExecConfig, FaultSpec, Interpreter, IrScratch};
     use crate::types::Type;
     use crate::value::Op;
+    use std::sync::Arc;
 
     fn loop_module() -> Module {
         let mut mb = ModuleBuilder::new("loop");
@@ -491,14 +207,14 @@ mod tests {
         assert_eq!(loaded.golden, set.golden);
         assert_eq!(loaded.cadence, set.cadence);
         assert_eq!(loaded.shared_snaps, set.shared_snaps);
-        assert_eq!(loaded.block_entry, set.block_entry);
+        assert_eq!(loaded.entry, set.entry);
         assert_eq!(loaded.snaps.len(), set.snaps.len());
         for (a, b) in loaded.snaps.iter().zip(&set.snaps) {
             assert_eq!(a.dyn_insts, b.dyn_insts);
             assert_eq!(a.fault_sites, b.fault_sites);
-            assert_eq!(a.sp, b.sp);
-            assert_eq!(a.output_len, b.output_len);
-            assert_eq!(a.profile, b.profile);
+            assert_eq!(a.state.sp, b.state.sp);
+            assert_eq!(a.state.output_len, b.state.output_len);
+            assert_eq!(a.state.profile, b.state.profile);
             assert_eq!(a.pages.len(), b.pages.len());
             for (k, v) in &a.pages {
                 assert_eq!(&b.pages[k][..], &v[..], "page {k} content differs");

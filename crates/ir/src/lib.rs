@@ -35,6 +35,7 @@
 
 pub mod analysis;
 pub mod builder;
+pub mod hash;
 pub mod inst;
 pub mod interp;
 pub mod module;

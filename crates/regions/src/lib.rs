@@ -31,6 +31,7 @@
 use flowery_backend::mir::AsmProgram;
 use flowery_inject::stats::{wilson_half_width, Estimate};
 use flowery_inject::OutcomeCounts;
+use flowery_ir::hash::{fnv1a, fnv_fold};
 use flowery_ir::inst::{Callee, InstKind};
 use flowery_ir::interp::Profile;
 use flowery_ir::module::Module;
@@ -47,27 +48,6 @@ pub const REGION_SCHEMA_VERSION: u32 = 1;
 /// Catch-all region for injection sites outside every function body
 /// (machine-layer prologue/veneer code, or attribution fallback).
 pub const OTHER_REGION: &str = "<other>";
-
-/// FNV-1a over a byte string. Matches the harness cache's content hash so
-/// region hashes are stable across processes and sessions.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Fold one more word into an FNV-style hash.
-pub fn combine(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for b in x.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One region of one unit's program: identity, content hash, and golden
 /// fault-site mass.
@@ -105,9 +85,9 @@ impl RegionSet {
     pub fn fingerprint(&self) -> u64 {
         let mut h = fnv1a(b"flowery-region-set");
         for r in &self.regions {
-            h = combine(h, fnv1a(r.name.as_bytes()));
-            h = combine(h, r.hash);
-            h = combine(h, r.site_mass);
+            h = fnv_fold(h, fnv1a(r.name.as_bytes()));
+            h = fnv_fold(h, r.hash);
+            h = fnv_fold(h, r.site_mass);
         }
         h
     }
@@ -135,7 +115,7 @@ pub fn ir_region_set(module: &Module, profile: &Profile, salt: u64) -> RegionSet
     let mut regions = Vec::new();
     for (fi, func) in module.functions.iter().enumerate() {
         let fid = FuncId(fi as u32);
-        let hash = combine(fnv1a(print_function(module, fid, func).as_bytes()), salt);
+        let hash = fnv_fold(fnv1a(print_function(module, fid, func).as_bytes()), salt);
         let mut mass = 0u64;
         for ii in 0..func.insts.len() {
             let iid = InstId(ii as u32);
@@ -165,8 +145,8 @@ pub fn asm_region_set(module: &Module, program: &AsmProgram, profile: &[u64], sa
     for f in &program.funcs {
         let (lo, hi) = (f.entry as usize, (f.end as usize).min(program.insts.len()));
         let ir_func = &module.functions[f.ir_id.index()];
-        let mut hash = combine(fnv1a(print_function(module, f.ir_id, ir_func).as_bytes()), salt);
-        hash = combine(hash, (hi - lo) as u64);
+        let mut hash = fnv_fold(fnv1a(print_function(module, f.ir_id, ir_func).as_bytes()), salt);
+        hash = fnv_fold(hash, (hi - lo) as u64);
         let mut mass = 0u64;
         for (i, c) in covered.iter_mut().enumerate().take(hi).skip(lo) {
             *c = true;
@@ -185,7 +165,7 @@ pub fn asm_region_set(module: &Module, program: &AsmProgram, profile: &[u64], sa
     if other > 0 {
         regions.push(Region {
             name: OTHER_REGION.into(),
-            hash: combine(fnv1a(OTHER_REGION.as_bytes()), salt),
+            hash: fnv_fold(fnv1a(OTHER_REGION.as_bytes()), salt),
             site_mass: other,
         });
     }

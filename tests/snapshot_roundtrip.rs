@@ -69,7 +69,7 @@ proptest! {
         let mach = flowery_backend::Machine::new(&m, &prog);
         let set = mach.capture_snapshots_auto(&exec);
         let bytes = set.to_bytes(hash);
-        let loaded = flowery_backend::AsmSnapshotSet::from_bytes(&bytes, &m, &prog, hash);
+        let loaded = flowery_backend::AsmSnapshotSet::from_bytes(&bytes, (&m, &prog), hash);
         prop_assert!(loaded.is_ok(), "asm round trip must load: {:?}", loaded.err());
         let loaded = loaded.unwrap();
         prop_assert_eq!(loaded.golden(), set.golden());
@@ -86,72 +86,79 @@ proptest! {
     }
 }
 
-/// Every single-byte corruption and every truncation must fail the
-/// checksum (or a later validation) — `from_bytes` returns `Err`, it
-/// never panics and never yields a set.
+/// The fixed program and explicit cadences the byte-level tests below run
+/// on: small files (about 30 KB) that still hold three snapshots with page
+/// deltas, profiles, and the first-entry table at each layer.
+const PIN_PROGRAM: (u32, u32, u32) = (6, 4, 251);
+const IR_CADENCE: u64 = 300;
+const ASM_CADENCE: u64 = 800;
+
+fn pinned_sets() -> (flowery_ir::Module, flowery_backend::AsmProgram, ExecConfig) {
+    let (outer, inner, modulus) = PIN_PROGRAM;
+    let m = flowery_lang::compile("snapio", &program(outer, inner, modulus)).unwrap();
+    let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
+    (m, prog, ExecConfig { profile: true, ..ExecConfig::default() })
+}
+
+/// Every single-byte corruption and every truncation must be rejected by
+/// `from_bytes` — it returns `Err`, it never panics and never yields a set.
+fn assert_every_flip_and_cut_rejected(bytes: &[u8], load: impl Fn(&[u8]) -> Result<(), String>, layer: &str) {
+    assert!(load(bytes).is_ok(), "{layer}: the intact file must load");
+    let mut bad = bytes.to_vec();
+    for i in 0..bad.len() {
+        bad[i] ^= 0x40;
+        assert!(load(&bad).is_err(), "{layer}: flip at byte {i} must be rejected");
+        bad[i] ^= 0x40;
+    }
+    for len in 0..bytes.len() {
+        assert!(load(&bytes[..len]).is_err(), "{layer}: truncation to {len} bytes must be rejected");
+    }
+}
+
 #[test]
 fn corrupted_and_mismatched_files_are_rejected() {
-    let src = program(20, 6, 251);
-    let m = flowery_lang::compile("snapio", &src).unwrap();
-    let exec = ExecConfig::default();
-    let interp = Interpreter::new(&m);
-    let set = interp.capture_snapshots_auto(&exec);
+    let (m, prog, exec) = pinned_sets();
+    let set = Interpreter::new(&m).capture_snapshots(&exec, IR_CADENCE);
+    assert!(set.len() >= 3, "the IR file must hold at least three snapshots");
     let bytes = set.to_bytes(42);
+    assert!(bytes.len() > 3 * 4096, "the IR snapshots must carry page deltas");
+    let load_ir = |b: &[u8]| flowery_ir::interp::IrSnapshotSet::from_bytes(b, &m, 42).map(drop);
 
     // Wrong module hash: the file is intact but belongs to another program.
     assert!(flowery_ir::interp::IrSnapshotSet::from_bytes(&bytes, &m, 43).is_err());
-
-    // Single-byte flips anywhere in the file (header, page data, checksum).
-    for i in (0..bytes.len()).step_by(13) {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0x40;
-        assert!(
-            flowery_ir::interp::IrSnapshotSet::from_bytes(&bad, &m, 42).is_err(),
-            "flip at byte {i} must be rejected"
-        );
-    }
-
-    // Truncations, including mid-header and the empty file.
-    for len in [0, 4, 8, 11, 20, bytes.len() / 2, bytes.len() - 1] {
-        assert!(
-            flowery_ir::interp::IrSnapshotSet::from_bytes(&bytes[..len], &m, 42).is_err(),
-            "truncation to {len} bytes must be rejected"
-        );
-    }
+    assert_every_flip_and_cut_rejected(&bytes, load_ir, "IR");
 
     // A bumped version field (bytes 8..12, after the 8-byte magic) must be
     // rejected even with the checksum recomputed to match.
     let mut vbump = bytes.clone();
     vbump[8] = vbump[8].wrapping_add(1);
     let body_len = vbump.len() - 8;
-    let sum = {
-        // fnv1a-64, the same checksum the writer uses.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &vbump[..body_len] {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    };
+    let sum = flowery_ir::hash::fnv1a(&vbump[..body_len]);
     vbump[body_len..].copy_from_slice(&sum.to_le_bytes());
-    let err = flowery_ir::interp::IrSnapshotSet::from_bytes(&vbump, &m, 42).unwrap_err();
+    let err = load_ir(&vbump).unwrap_err();
     assert!(err.contains("version"), "want a version error, got: {err}");
 
     // Same checks on the assembly format.
-    let prog = flowery_backend::compile_module(&m, &flowery_backend::BackendConfig::default());
     let mach = flowery_backend::Machine::new(&m, &prog);
-    let set = mach.capture_snapshots_auto(&exec);
+    let set = mach.capture_snapshots(&exec, ASM_CADENCE);
+    assert!(set.len() >= 3, "the asm file must hold at least three snapshots");
     let bytes = set.to_bytes(42);
-    assert!(flowery_backend::AsmSnapshotSet::from_bytes(&bytes, &m, &prog, 43).is_err());
-    for i in (0..bytes.len()).step_by(13) {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0x40;
-        assert!(
-            flowery_backend::AsmSnapshotSet::from_bytes(&bad, &m, &prog, 42).is_err(),
-            "asm flip at byte {i} must be rejected"
-        );
-    }
-    for len in [0, 4, 8, 11, 20, bytes.len() / 2, bytes.len() - 1] {
-        assert!(flowery_backend::AsmSnapshotSet::from_bytes(&bytes[..len], &m, &prog, 42).is_err());
-    }
+    assert!(bytes.len() > 3 * 4096, "the asm snapshots must carry page deltas");
+    assert!(flowery_backend::AsmSnapshotSet::from_bytes(&bytes, (&m, &prog), 43).is_err());
+    let load_asm = |b: &[u8]| flowery_backend::AsmSnapshotSet::from_bytes(b, (&m, &prog), 42).map(drop);
+    assert_every_flip_and_cut_rejected(&bytes, load_asm, "asm");
+}
+
+/// The on-disk format is frozen at version 1: these digests of one fixed
+/// program's files at each layer were recorded from the format's first
+/// implementation, so any drift in what is written fails here.
+#[test]
+fn serialized_bytes_are_pinned() {
+    let (m, prog, exec) = pinned_sets();
+    let ir = Interpreter::new(&m).capture_snapshots(&exec, IR_CADENCE).to_bytes(42);
+    assert_eq!((ir.len(), flowery_ir::hash::fnv1a(&ir)), (27649, 0xdad5_160a_f959_bc35));
+    let asm = flowery_backend::Machine::new(&m, &prog)
+        .capture_snapshots(&exec, ASM_CADENCE)
+        .to_bytes(42);
+    assert_eq!((asm.len(), flowery_ir::hash::fnv1a(&asm)), (32954, 0x95ca_9e51_e2f2_1799));
 }
